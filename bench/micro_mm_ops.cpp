@@ -7,8 +7,10 @@
  *
  * The BM_E2E* benchmarks run whole fault+reclaim / promote passes over
  * a configurable footprint (TPP_E2E_PAGES, default 2^18 pages) and
- * report pages/sec rate counters; together with the pages_per_sec
- * counters on the fault, reclaim-scan and LRU-surgery benchmarks they
+ * report pages/sec rate counters. Together with the pages_per_sec
+ * counters on the fault, reclaim-scan and LRU-surgery benchmarks, and
+ * the accesses_per_sec counters on the resident access and on one
+ * cache1 workload batch (the layer that dominates figure runs), they
  * feed the CI perf gate:
  *
  *     micro_mm_ops --benchmark_format=json > out.json
@@ -20,6 +22,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -31,6 +34,8 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "workloads/profiles.hh"
+#include "workloads/synthetic.hh"
 
 namespace {
 
@@ -97,8 +102,52 @@ BM_AccessResident(benchmark::State &state)
             m.kernel.access(m.asid, base + (v++ & 1023),
                             AccessKind::Load, 0));
     }
+    state.counters["accesses_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AccessResident);
+
+void
+BM_SyntheticBatch(benchmark::State &state)
+{
+    // The layer that takes most of the host time in figure runs: one
+    // cache1 operation batch (access generation, Kernel::access, the
+    // latency model) on the fig16 machine, wss 32768 at local:CXL 1:4
+    // under TPP, warmed for one simulated second first. Between batches
+    // the clock steps by the batch's duration, as the workload driver
+    // steps it, with the timer paused while the policy daemons run.
+    const std::uint64_t wss = 32768;
+    const std::uint64_t total =
+        static_cast<std::uint64_t>(static_cast<double>(wss) * 1.03);
+    const std::uint64_t local = total / 5;
+    EventQueue eq;
+    MemorySystem mem(TopologyBuilder::cxlSystem(local, total - local));
+    Kernel kernel(mem, eq, std::make_unique<TppPolicy>());
+    setLogVerbose(false);
+    kernel.start();
+    SyntheticWorkload wl(profiles::cache1(wss));
+    wl.init(kernel);
+    const auto step = [&](const BatchResult &batch) {
+        eq.run(eq.now() +
+               std::max<Tick>(1, static_cast<Tick>(batch.durationNs)));
+    };
+    while (!wl.warmedUp() || eq.now() < kSecond)
+        step(wl.runBatch(kernel));
+
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        const BatchResult batch = wl.runBatch(kernel);
+        benchmark::DoNotOptimize(batch);
+        accesses += batch.accesses;
+        state.PauseTiming();
+        step(batch);
+        state.ResumeTiming();
+    }
+    state.counters["accesses_per_sec"] = benchmark::Counter(
+        static_cast<double>(accesses), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SyntheticBatch)->Unit(benchmark::kMicrosecond);
 
 void
 BM_MinorFault(benchmark::State &state)

@@ -8,8 +8,6 @@
 namespace tpp {
 
 namespace {
-/** Bandwidth EWMA window length. */
-constexpr Tick kTrafficWindow = 1 * kMillisecond;
 /** EWMA smoothing factor per window. */
 constexpr double kUtilAlpha = 0.3;
 } // namespace

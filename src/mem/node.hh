@@ -136,7 +136,24 @@ class MemoryNode
      */
     double utilization(Tick now) const;
 
+    /**
+     * One memory access's accounting: utilization(now), then
+     * recordTraffic(now, bytes), with one window check between them
+     * instead of two. @return the utilisation the access sees.
+     */
+    double
+    recordAccess(Tick now, std::uint64_t bytes)
+    {
+        if (now >= trafficWindowStart_ + kTrafficWindow)
+            decayTraffic(now);
+        windowBytes_ += static_cast<double>(bytes);
+        return utilEwma_;
+    }
+
   private:
+    /** Bandwidth EWMA window length. */
+    static constexpr Tick kTrafficWindow = 1 * kMillisecond;
+
     void decayTraffic(Tick now) const;
 
     NodeId id_;

@@ -28,6 +28,7 @@ Kernel::Kernel(MemorySystem &mem, EventQueue &eq,
     for (std::size_t i = 0; i < n; ++i)
         lrus_.emplace_back(mem_, static_cast<NodeId>(i));
     traffic_.resize(n);
+    latencyMemo_.resize(n);
     kswapd_.resize(n);
     scanCursor_.resize(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -107,12 +108,6 @@ Kernel::pteOf(const PageFrame &frame)
 {
     const PageFrameCold &cold = mem_.frameCold(frame.pfn);
     return addressSpace(cold.ownerAsid).pte(cold.ownerVpn);
-}
-
-void
-Kernel::touchFrame(PageFrame &frame)
-{
-    frame.setFlag(PageFrame::FlagReferenced);
 }
 
 void
@@ -263,7 +258,7 @@ Kernel::faultIn(AddressSpace &as, Vpn vpn, Pte &pte, NodeId task_nid,
 }
 
 AccessResult
-Kernel::access(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
+Kernel::accessSlow(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
 {
     AccessResult res;
     AddressSpace &as = addressSpace(asid);
@@ -306,22 +301,8 @@ Kernel::access(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
     }
 
     PageFrame &frame = mem_.frame(pte.pfn);
-    const NodeId nid = frame.nid;
-    MemoryNode &node = mem_.node(nid);
-    latency += mem_.latencyModel().accessLatencyNs(node, eq_.now());
-    node.recordTraffic(eq_.now(), 64);
-    touchFrame(frame);
-    if (kind == AccessKind::Store)
-        frame.setFlag(PageFrame::FlagDirty);
-
-    NodeTraffic &t = traffic_[nid];
-    t.accesses++;
-    t.accessesByType[static_cast<std::size_t>(frame.type)]++;
-
-    if (accessTap_)
-        accessTap_->onKernelAccess(frame, task_nid, eq_.now());
-
-    res.servedBy = nid;
+    latency += serveAccess(frame, kind, task_nid);
+    res.servedBy = frame.nid;
     res.latencyNs = latency;
     return res;
 }

@@ -16,6 +16,7 @@
 #ifndef TPP_MM_KERNEL_HH
 #define TPP_MM_KERNEL_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -169,6 +170,11 @@ class Kernel
      * faults (allocation), major faults (swap-in / disk refault) and
      * NUMA hint faults, updates LRU/referenced state and traffic
      * accounting, and returns the modelled latency.
+     *
+     * Defined inline below: a resident page that is neither armed for
+     * a hint fault nor under migration takes the fast path, one
+     * page-table walk and serveAccess(). Any other page state goes to
+     * accessSlow(), which also owns every bounds check's panic.
      */
     AccessResult access(Asid asid, Vpn vpn, AccessKind kind,
                         NodeId task_nid);
@@ -289,9 +295,17 @@ class Kernel
     friend class MigrationEngine;
 
     // kernel.cc
+    /** access() for every page state the fast path does not cover. */
+    AccessResult accessSlow(Asid asid, Vpn vpn, AccessKind kind,
+                            NodeId task_nid);
     double faultIn(AddressSpace &as, Vpn vpn, Pte &pte, NodeId task_nid,
                    AccessResult &res);
-    void touchFrame(PageFrame &frame);
+    /**
+     * The tail both access paths share, once `frame` serves the
+     * access: node bandwidth accounting, referenced/dirty bits, traffic
+     * counters and the access tap. @return the node's loaded latency.
+     */
+    double serveAccess(PageFrame &frame, AccessKind kind, NodeId task_nid);
 
     // kernel_alloc.cc
     bool nodePassesGate(NodeId nid, WatermarkGate gate) const;
@@ -349,6 +363,17 @@ class Kernel
     std::vector<LruSet> lrus_;
     std::vector<std::unique_ptr<AddressSpace>> spaces_;
     std::vector<NodeTraffic> traffic_;
+    /**
+     * Per node: the access latency last computed and the bits of the
+     * utilisation EWMA it was computed from. The EWMA moves only when
+     * a 1 ms window rolls, so inflate() runs once per window. The key
+     * is the EWMA, not the tick: an EventQueue::reset() revisits ticks.
+     */
+    struct LatencyMemo {
+        std::uint64_t utilBits = ~std::uint64_t{0}; //!< a NaN: never hit
+        double latencyNs = 0.0;
+    };
+    std::vector<LatencyMemo> latencyMemo_;
     std::vector<KswapdState> kswapd_;
     std::vector<Pfn> scanCursor_;
 
@@ -356,6 +381,56 @@ class Kernel
     bool promotionIgnoresWatermark_ = false;
     bool started_ = false;
 };
+
+inline AccessResult
+Kernel::access(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
+{
+    if (asid < spaces_.size()) {
+        AddressSpace &as = *spaces_[asid];
+        if (vpn < as.tableSize()) {
+            const Pte &pte = as.pte(vpn);
+            if (pte.present() && !pte.protNone()) {
+                PageFrame &frame = mem_.frame(pte.pfn);
+                if (!frame.underMigration()) {
+                    AccessResult res;
+                    res.latencyNs = serveAccess(frame, kind, task_nid);
+                    res.servedBy = frame.nid;
+                    return res;
+                }
+            }
+        }
+    }
+    return accessSlow(asid, vpn, kind, task_nid);
+}
+
+inline double
+Kernel::serveAccess(PageFrame &frame, AccessKind kind, NodeId task_nid)
+{
+    const NodeId nid = frame.nid;
+    const Tick now = eq_.now();
+    MemoryNode &node = mem_.node(nid);
+    const double util = node.recordAccess(now, 64);
+    LatencyMemo &memo = latencyMemo_[nid];
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(util);
+    if (bits != memo.utilBits) {
+        memo.utilBits = bits;
+        memo.latencyNs = mem_.latencyModel().inflate(
+            node.profile().idleLatencyNs, util);
+    }
+    const double latency = memo.latencyNs;
+
+    frame.setFlag(PageFrame::FlagReferenced);
+    if (kind == AccessKind::Store)
+        frame.setFlag(PageFrame::FlagDirty);
+
+    NodeTraffic &t = traffic_[nid];
+    t.accesses++;
+    t.accessesByType[static_cast<std::size_t>(frame.type)]++;
+
+    if (accessTap_)
+        accessTap_->onKernelAccess(frame, task_nid, now);
+    return latency;
+}
 
 } // namespace tpp
 

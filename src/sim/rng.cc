@@ -15,12 +15,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -28,62 +22,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    // Lemire-style rejection to avoid modulo bias.
-    std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-std::uint64_t
-Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
-{
-    return lo + nextBounded(hi - lo + 1);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
-Rng
-Rng::split()
-{
-    return Rng(next());
 }
 
 } // namespace tpp

@@ -128,27 +128,15 @@ SyntheticWorkload::refreshPhaseWeights(Tick now)
     }
 }
 
-Vpn
-SyntheticWorkload::sampleRegionVpn(RegionState &region, Tick now)
+void
+SyntheticWorkload::refreshGeometry(Tick now)
 {
-    const RegionSpec &spec = region.spec;
-    const std::uint64_t active = activePages(region, now);
-    std::uint64_t hot_pages = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(spec.hotFraction *
-                                      static_cast<double>(active)));
-
-    std::uint64_t offset;
-    const double roll = rng_.nextDouble();
-    if (roll < spec.hotAccessShare + spec.echoShare) {
-        // Rebuild the Zipf sampler only when the hot-set size moved
-        // noticeably; construction is cheap but not free.
-        if (!region.zipf ||
-            (region.cachedHotPages != hot_pages &&
-             (hot_pages > region.cachedHotPages + region.cachedHotPages / 64 ||
-              hot_pages + hot_pages / 64 < region.cachedHotPages))) {
-            region.zipf.emplace(hot_pages, spec.zipfTheta);
-            region.cachedHotPages = hot_pages;
-        }
+    for (RegionState &region : regions_) {
+        const RegionSpec &spec = region.spec;
+        const std::uint64_t active = activePages(region, now);
+        const std::uint64_t hot_pages = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(spec.hotFraction *
+                                          static_cast<double>(active)));
         std::uint64_t hot_start = 0;
         if (spec.hotFollowsGrowth && active > hot_pages)
             hot_start = active - hot_pages;
@@ -162,14 +150,52 @@ SyntheticWorkload::sampleRegionVpn(RegionState &region, Tick now)
                              static_cast<double>(steps) * step_pages)) %
                         active;
         }
+        region.active = active;
+        region.hotPages = hot_pages;
+        region.hotStart = hot_start;
+        region.zipfChecked = false;
+    }
+}
+
+Vpn
+SyntheticWorkload::sampleRegionVpn(RegionState &region)
+{
+    const RegionSpec &spec = region.spec;
+    const std::uint64_t active = region.active;
+    std::uint64_t offset;
+    const double roll = rng_.nextDouble();
+    if (roll < spec.hotAccessShare + spec.echoShare) {
+        if (!region.zipfChecked) {
+            // Rebuild the Zipf sampler only when the hot-set size moved
+            // noticeably; construction is cheap but not free. Decided
+            // at the batch's first hot draw: deciding at batch start
+            // would also rebuild in batches that draw nothing hot here,
+            // which changes the stream.
+            const std::uint64_t hot_pages = region.hotPages;
+            if (!region.zipf ||
+                (region.cachedHotPages != hot_pages &&
+                 (hot_pages >
+                      region.cachedHotPages + region.cachedHotPages / 64 ||
+                  hot_pages + hot_pages / 64 < region.cachedHotPages))) {
+                region.zipf.emplace(hot_pages, spec.zipfTheta);
+                region.cachedHotPages = hot_pages;
+            }
+            region.zipfChecked = true;
+            region.wrapOnce =
+                hot_pages <= active && region.zipf->size() <= active;
+        }
         if (roll < spec.hotAccessShare) {
-            offset = (hot_start + (*region.zipf)(rng_)) % active;
+            offset = region.hotStart + (*region.zipf)(rng_);
         } else {
             // Echo zone: uniform over the window-sized span of pages the
             // drifting window most recently left behind.
-            const std::uint64_t back = 1 + rng_.nextBounded(hot_pages);
-            offset = (hot_start + active - back) % active;
+            const std::uint64_t back = 1 + rng_.nextBounded(region.hotPages);
+            offset = region.hotStart + active - back;
         }
+        if (!region.wrapOnce)
+            offset %= active;
+        else if (offset >= active)
+            offset -= active;
     } else {
         offset = rng_.nextBounded(active);
     }
@@ -317,28 +343,35 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
     duration += maintainTransients(kernel, now, result);
     if (anyPhased_)
         refreshPhaseWeights(now);
+    // A batch runs at one simulated tick: nothing it calls advances the
+    // event queue, so each region's geometry holds for the whole batch.
+    // The check below keeps that true.
+    refreshGeometry(now);
 
     const double think = think_.perOpNs(now);
+    const double total_weight = weightPrefix_.back();
 
     for (std::uint64_t op = 0; op < ops; ++op) {
         duration += think;
         for (std::uint32_t a = 0; a < profile_.accessesPerOp; ++a) {
             // Pick a region by access weight.
-            const double pick =
-                rng_.nextDouble() * weightPrefix_.back();
+            const double pick = rng_.nextDouble() * total_weight;
             const std::size_t idx = static_cast<std::size_t>(
                 std::lower_bound(weightPrefix_.begin(),
                                  weightPrefix_.end(), pick) -
                 weightPrefix_.begin());
             RegionState &region =
                 regions_[std::min(idx, regions_.size() - 1)];
-            const Vpn vpn = sampleRegionVpn(region, now);
+            const Vpn vpn = sampleRegionVpn(region);
             const AccessKind kind =
                 rng_.nextBool(region.spec.storeShare) ? AccessKind::Store
                                                       : AccessKind::Load;
             duration += issueAccess(kernel, vpn, kind, result);
         }
     }
+    if (kernel.eventQueue().now() != now)
+        tpp_panic("simulated time moved inside a %s batch",
+                  profile_.name.c_str());
     result.ops = ops;
     result.durationNs = std::max(duration, 1.0);
     return result;

@@ -169,6 +169,16 @@ class SyntheticWorkload : public Workload
         Tick lastChurn = 0;
         std::uint64_t cachedHotPages = 0;
         std::optional<ZipfDistribution> zipf;
+
+        // Sampling geometry at the current batch's tick, set by
+        // refreshGeometry() at the start of every operation batch.
+        std::uint64_t active = 1;   //!< pages in use
+        std::uint64_t hotPages = 1; //!< hot-window size
+        std::uint64_t hotStart = 0; //!< hot-window start, < active
+        /** The lazy Zipf rebuild check has run in this batch. */
+        bool zipfChecked = false;
+        /** Hot and echo offsets stay below 2 * active (set by the check). */
+        bool wrapOnce = false;
     };
 
     struct TransientRegion {
@@ -183,7 +193,9 @@ class SyntheticWorkload : public Workload
     bool regionPhaseOn(const RegionSpec &spec, Tick now) const;
     /** Rebuild weightPrefix_ when any region's phase state flipped. */
     void refreshPhaseWeights(Tick now);
-    Vpn sampleRegionVpn(RegionState &region, Tick now);
+    /** Compute every region's sampling geometry for a batch at `now`. */
+    void refreshGeometry(Tick now);
+    Vpn sampleRegionVpn(RegionState &region);
     std::uint64_t activePages(const RegionState &region, Tick now) const;
     double runWarmupChunk(Kernel &kernel, BatchResult &result);
     double maintainTransients(Kernel &kernel, Tick now,

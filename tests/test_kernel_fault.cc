@@ -5,6 +5,9 @@
  * tracking, traffic accounting and teardown.
  */
 
+#include <set>
+
+#include "mm/access_tap.hh"
 #include "test_common.hh"
 
 namespace tpp {
@@ -134,6 +137,105 @@ TEST(KernelFault, TrafficAccounting)
     EXPECT_DOUBLE_EQ(m.kernel.trafficShare(0), 1.0);
     m.kernel.resetTraffic();
     EXPECT_EQ(m.kernel.traffic(0).accesses, 0u);
+}
+
+/** Counts the accesses the kernel reports to its device tap. */
+struct CountingTap : KernelAccessTap {
+    std::uint64_t calls = 0;
+    Pfn lastPfn = kInvalidPfn;
+
+    void
+    onKernelAccess(const PageFrame &frame, NodeId, Tick) override
+    {
+        calls++;
+        lastPfn = frame.pfn;
+    }
+};
+
+TEST(KernelFault, ResidentHitAccountsLikeAnyAccess)
+{
+    TestMachine m;
+    CountingTap tap;
+    m.kernel.setAccessTap(&tap);
+    const Vpn f = m.kernel.mmap(m.asid, 1, PageType::File, "f");
+    m.kernel.access(m.asid, f, AccessKind::Load, 0);
+    m.frameOf(f).clearFlag(PageFrame::FlagReferenced);
+    const NodeTraffic before = m.kernel.traffic(0);
+    const std::uint64_t taps_before = tap.calls;
+
+    const AccessResult load = m.kernel.access(m.asid, f, AccessKind::Load, 0);
+    EXPECT_EQ(load.servedBy, 0);
+    EXPECT_TRUE(m.frameOf(f).referenced());
+    EXPECT_FALSE(m.frameOf(f).dirty());
+    m.kernel.access(m.asid, f, AccessKind::Store, 0);
+    EXPECT_TRUE(m.frameOf(f).dirty());
+
+    const NodeTraffic &after = m.kernel.traffic(0);
+    EXPECT_EQ(after.accesses, before.accesses + 2);
+    EXPECT_EQ(after.accessesByType[static_cast<int>(PageType::File)],
+              before.accessesByType[static_cast<int>(PageType::File)] + 2);
+    EXPECT_EQ(tap.calls, taps_before + 2);
+    EXPECT_EQ(tap.lastPfn, m.pte(f).pfn);
+    m.kernel.setAccessTap(nullptr);
+}
+
+TEST(KernelFault, ResidentHitPaysTheModelLatencyInEveryWindow)
+{
+    TestMachine m;
+    const Vpn local = m.populate(8, PageType::Anon, false, m.local());
+    const Vpn cxl = m.populate(8, PageType::Anon, false, m.cxl());
+    const LatencyModel &model = m.mem.latencyModel();
+    std::set<double> seen;
+    const auto expect_fresh = [&](Vpn vpn, NodeId nid) {
+        const AccessResult res =
+            m.kernel.access(m.asid, vpn, AccessKind::Load, 0);
+        ASSERT_EQ(res.servedBy, nid);
+        EXPECT_EQ(res.latencyNs,
+                  model.accessLatencyNs(m.mem.node(nid), m.eq.now()));
+        seen.insert(res.latencyNs);
+    };
+    const auto expect_all_fresh = [&] {
+        for (Vpn i = 0; i < 8; ++i) {
+            expect_fresh(local + i, m.local());
+            expect_fresh(cxl + i, m.cxl());
+        }
+    };
+
+    // Load both nodes by a different amount in each 1 ms EWMA window.
+    // The migration-sized traffic lands at the tick of the accesses
+    // around it; the utilisation it adds shows once the window rolls.
+    for (int window = 0; window < 12; ++window) {
+        expect_all_fresh();
+        for (int i = 0; i < 6000 * (window % 4); ++i) {
+            m.mem.node(m.local()).recordTraffic(m.eq.now(), kPageSize);
+            m.mem.node(m.cxl()).recordTraffic(m.eq.now(), kPageSize);
+        }
+        expect_all_fresh();
+        m.eq.run(m.eq.now() + kMillisecond);
+    }
+    EXPECT_GT(seen.size(), 8u); // the load really moved the latency
+
+    // An idle gap past 64 windows resets the EWMA: back to idle cost.
+    m.eq.run(m.eq.now() + 100 * kMillisecond);
+    expect_all_fresh();
+    EXPECT_EQ(m.kernel.access(m.asid, local, AccessKind::Load, 0).latencyNs,
+              m.mem.node(m.local()).profile().idleLatencyNs);
+
+    // A clock reset brings back a tick whose latency was taken under
+    // another load; the node's EWMA, not the tick, decides the cost.
+    const Tick revisit = m.eq.now();
+    for (int i = 0; i < 20000; ++i) {
+        m.mem.node(m.local()).recordTraffic(revisit, kPageSize);
+        m.mem.node(m.cxl()).recordTraffic(revisit, kPageSize);
+    }
+    m.eq.run(revisit + 3 * kMillisecond);
+    m.mem.node(m.local()).utilization(m.eq.now());
+    m.mem.node(m.cxl()).utilization(m.eq.now());
+    m.eq.reset();
+    m.eq.run(revisit);
+    expect_all_fresh();
+    EXPECT_GT(m.kernel.access(m.asid, local, AccessKind::Load, 0).latencyNs,
+              m.mem.node(m.local()).profile().idleLatencyNs);
 }
 
 TEST(KernelFault, MunmapFreesFramesAndSwap)

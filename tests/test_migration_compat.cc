@@ -44,6 +44,14 @@ struct GoldenCase {
     std::uint64_t swapOut;
 };
 
+// Without a printer gtest shows the case as raw bytes, and the tag
+// pointer would put a load address into every discovered test name.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << '"' << c.tag << '"';
+}
+
 // Captured from the pre-refactor tree; see file comment.
 const GoldenCase kGolden[] = {
     {"fig15_web_linux", "web", "linux", 2.0 / 3.0,

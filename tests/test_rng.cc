@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/distributions.hh"
 #include "sim/rng.hh"
 
 namespace tpp {
@@ -18,6 +19,41 @@ TEST(Rng, SameSeedSameStream)
     Rng a(12345), b(12345);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(a.next(), b.next());
+}
+
+// Pinned outputs. A test that compares two generators passes for any
+// deterministic generator; these also catch a changed or mistyped
+// xoshiro256**, on which every workload golden depends.
+TEST(Rng, PinnedStreamsFromSeed42)
+{
+    Rng raw(42);
+    for (std::uint64_t want : {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL,
+                               0xae17533239e499a1ULL, 0xecb8ad4703b360a1ULL,
+                               0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL})
+        EXPECT_EQ(raw.next(), want);
+
+    Rng unit(42);
+    for (double want : {0x1.5780b2e0c2ecp-4, 0x1.84136619b444ep-2,
+                        0x1.5c2ea66473c93p-1, 0x1.d9715a8e0766cp-1,
+                        0x1.fbcdb8ffc5d8bp-1, 0x1.8a1b4a6202f2ap-1})
+        EXPECT_EQ(unit.nextDouble(), want);
+
+    Rng bounded(42);
+    for (std::uint64_t want : {742, 102, 9, 193, 476, 584, 754, 407})
+        EXPECT_EQ(bounded.nextBounded(1000), want);
+
+    Rng coin(42);
+    for (bool want : {true, false, false, false, false, false, false, false,
+                      false, false, false, true, false, false, false, false})
+        EXPECT_EQ(coin.nextBool(0.3), want);
+}
+
+TEST(Rng, PinnedZipfDrawsFromSeed42)
+{
+    Rng rng(42);
+    const ZipfDistribution zipf(1024, 0.99);
+    for (std::uint64_t want : {556, 62, 6, 0, 0, 2, 4, 1, 13, 5, 121, 2})
+        EXPECT_EQ(zipf(rng), want);
 }
 
 TEST(Rng, DifferentSeedsDiverge)
@@ -45,21 +81,6 @@ TEST(Rng, BoundedOneAlwaysZero)
     Rng rng(7);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(rng.nextBounded(1), 0u);
-}
-
-TEST(Rng, RangeInclusive)
-{
-    Rng rng(9);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 10000; ++i) {
-        const std::uint64_t v = rng.nextRange(10, 13);
-        EXPECT_GE(v, 10u);
-        EXPECT_LE(v, 13u);
-        saw_lo |= (v == 10);
-        saw_hi |= (v == 13);
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
 }
 
 TEST(Rng, DoubleInUnitInterval)
@@ -101,19 +122,6 @@ TEST(Rng, BoolProbability)
     for (int i = 0; i < n; ++i)
         hits += rng.nextBool(0.3);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, SplitIndependence)
-{
-    Rng parent(23);
-    Rng child = parent.split();
-    // The child stream should not replicate the parent stream.
-    int same = 0;
-    for (int i = 0; i < 1000; ++i) {
-        if (parent.next() == child.next())
-            same++;
-    }
-    EXPECT_LT(same, 5);
 }
 
 TEST(Rng, BoundedUniformity)

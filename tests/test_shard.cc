@@ -48,6 +48,14 @@ struct ShardCase {
     double rateLimitMBps; //!< machine-wide admission budget; 0 = off
 };
 
+// Without a printer gtest shows the case as raw bytes, and the tag
+// pointer would put a load address into every discovered test name.
+void
+PrintTo(const ShardCase &c, std::ostream *os)
+{
+    *os << '"' << c.tag << '"';
+}
+
 const ShardCase kCases[] = {
     {"tpp", "tpp", 0.0},
     {"linux", "linux", 0.0},

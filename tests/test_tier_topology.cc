@@ -198,6 +198,14 @@ struct TierGoldenCase {
     std::uint64_t vmsum;
 };
 
+// Without a printer gtest shows the case as raw bytes, and the tag
+// pointer would put a load address into every discovered test name.
+void
+PrintTo(const TierGoldenCase &c, std::ostream *os)
+{
+    *os << '"' << c.tag << '"';
+}
+
 const TierGoldenCase kTierGolden[] = {
     {"three_tier_linux", kThreeTier, "linux",
      622207.88568627601, 166.94136752960515, 3235183705022800817ull},

@@ -4,6 +4,7 @@
  * and the trace-replay workload.
  */
 
+#include "core/tpp_policy.hh"
 #include "test_common.hh"
 #include "workloads/profiles.hh"
 #include "workloads/synthetic.hh"
@@ -159,6 +160,178 @@ TEST(SyntheticWorkload, ObserverSeesEveryAccess)
     EXPECT_EQ(observed, res.accesses);
 }
 
+// ---------------------------------------------------------------------
+// Access-stream goldens: the (vpn, kind) stream a profile generates and
+// its summed batch results, pinned bit for bit. Batches run on a 1:4 TPP
+// machine with the clock stepped between them, so growth, rotation,
+// churn, phase flips and transients all fall inside the pinned span,
+// and the latency totals pin the kernel's access path too.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over the eight bytes of `word`. */
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (word >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+struct StreamGolden {
+    const char *name;
+    std::uint64_t hash; //!< FNV-1a over every observed (vpn, kind)
+    std::uint64_t ops;
+    std::uint64_t accesses;
+    double durationNs;
+    double memLatencyNs;
+};
+
+/**
+ * Run `profile` for 100 batches of 50 operations on a TPP machine with
+ * `wss_pages` / 4 local and `wss_pages` CXL pages, stepping the clock
+ * 100 ms after each batch (10 simulated seconds), and check the stream
+ * and batch totals against `golden`.
+ */
+void
+expectStreamGolden(const WorkloadProfile &profile, std::uint64_t wss_pages,
+                   const StreamGolden &golden)
+{
+    SCOPED_TRACE(golden.name);
+    TestMachine m(wss_pages / 4, wss_pages, std::make_unique<TppPolicy>());
+    SyntheticWorkload wl(profile);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    wl.setObserver([&hash](const AccessRecord &r) {
+        hash = fnv1a(hash, r.vpn);
+        hash = fnv1a(hash, static_cast<std::uint64_t>(r.kind));
+    });
+    wl.init(m.kernel);
+    BatchResult totals;
+    for (int batch = 0; batch < 100; ++batch) {
+        const BatchResult r = wl.runOps(m.kernel, 50);
+        totals.ops += r.ops;
+        totals.accesses += r.accesses;
+        totals.durationNs += r.durationNs;
+        totals.memLatencyNs += r.memLatencyNs;
+        m.eq.run(m.eq.now() + 100 * kMillisecond);
+    }
+    EXPECT_EQ(hash, golden.hash);
+    EXPECT_EQ(totals.ops, golden.ops);
+    EXPECT_EQ(totals.accesses, golden.accesses);
+    EXPECT_EQ(totals.durationNs, golden.durationNs);
+    EXPECT_EQ(totals.memLatencyNs, golden.memLatencyNs);
+}
+
+TEST(AccessStreamGolden, NamedProfiles)
+{
+    const StreamGolden goldens[] = {
+        {"web", 0x133b5746bd132f60ULL, 4950, 59618, 0x1.59e73a0153c2p+27,
+         0x1.4dd9b54p+27},
+        {"cache1", 0x3bce4133d0fad9cbULL, 4950, 42903, 0x1.765b8cp+24,
+         0x1.39eeccp+24},
+        {"cache2", 0x5f76da6d073ecd51ULL, 4950, 23669,
+         0x1.000436745122ep+24, 0x1.621154p+23},
+        {"dwh", 0x7995232cb481d85aULL, 4950, 33180, 0x1.8faf97p+25,
+         0x1.395331p+25},
+        {"churn", 0xf0b7d7ee72092e13ULL, 4950, 223466, 0x1.31d6533p+29,
+         0x1.0cd2d27p+29},
+        {"phased", 0x16328f3669b26c1eULL, 4900, 43726, 0x1.b87fa8p+26,
+         0x1.a98b88p+26},
+    };
+    for (const StreamGolden &golden : goldens)
+        expectStreamGolden(profiles::byName(golden.name, 4096), 4096, golden);
+}
+
+/**
+ * A profile that takes every branch of the region sampler: a growing
+ * region whose hot window follows the frontier and rotates, with an
+ * echo zone and phase gating, drawn so rarely that some batches make no
+ * hot draw from it; a stage churned and populated on churn; a one-page
+ * hot window; a hot window wider than its active pages; transients;
+ * and store shares of 0 and 1.
+ */
+WorkloadProfile
+everyBranchProfile()
+{
+    WorkloadProfile p;
+    p.name = "every-branch";
+    p.seed = 7;
+    p.warmupChunkPages = 256;
+
+    RegionSpec grow;
+    grow.label = "grow";
+    grow.pages = 2048;
+    grow.initialActiveFraction = 0.1;
+    grow.growthPagesPerSec = 150.0;
+    grow.hotFollowsGrowth = true;
+    grow.hotFraction = 0.3;
+    grow.hotAccessShare = 0.7;
+    grow.echoShare = 0.2;
+    grow.rotationPeriod = 250 * kMillisecond;
+    grow.rotationStep = 0.1;
+    grow.accessWeight = 0.01;
+    grow.phasePeriod = 2 * kSecond;
+    grow.phaseOffWeight = 0.2;
+    p.regions.push_back(grow);
+
+    RegionSpec stage;
+    stage.label = "stage";
+    stage.pages = 512;
+    stage.sequentialWarmup = true;
+    stage.hotAccessShare = 0.8;
+    stage.echoShare = 0.1;
+    stage.zipfTheta = 0.99;
+    stage.rotationPeriod = 200 * kMillisecond;
+    stage.rotationStep = 0.2;
+    stage.churnPeriod = 1500 * kMillisecond;
+    stage.churnPhase = 500 * kMillisecond;
+    stage.populateOnChurn = true;
+    stage.accessWeight = 0.6;
+    stage.storeShare = 1.0;
+    p.regions.push_back(stage);
+
+    RegionSpec pin;
+    pin.label = "pin";
+    pin.type = PageType::File;
+    pin.pages = 64;
+    pin.hotFraction = 0.001; // rounds down to the one-page floor
+    pin.hotAccessShare = 0.9;
+    pin.echoShare = 0.05;
+    pin.rotationPeriod = 100 * kMillisecond;
+    pin.rotationStep = 0.5;
+    pin.accessWeight = 0.3;
+    pin.storeShare = 0.0;
+    pin.phasePeriod = 1 * kSecond;
+    pin.phaseOffset = 500 * kMillisecond;
+    p.regions.push_back(pin);
+
+    RegionSpec wide;
+    wide.label = "wide";
+    wide.pages = 256;
+    wide.initialActiveFraction = 0.5;
+    wide.growthPagesPerSec = 10.0;
+    wide.hotFraction = 1.25;
+    wide.hotAccessShare = 0.9;
+    wide.echoShare = 0.05;
+    wide.rotationPeriod = 300 * kMillisecond;
+    wide.accessWeight = 0.2;
+    p.regions.push_back(wide);
+
+    p.transient.regionsPerSecond = 50.0;
+    p.transient.regionPages = 8;
+    p.transient.lifetime = 300 * kMillisecond;
+    p.transient.touchesPerPage = 1.5;
+    return p;
+}
+
+TEST(AccessStreamGolden, EveryBranchProfile)
+{
+    expectStreamGolden(everyBranchProfile(), 3072,
+                       {"every-branch", 0xe3da628a529ba8e8ULL, 4900, 26052,
+                        0x1.829dd4p+23, 0x1.b7074p+22});
+}
+
 TEST(Profiles, AllFourBuildAndSumNearWss)
 {
     for (const char *name : {"web", "cache1", "cache2", "dwh"}) {
@@ -211,6 +384,18 @@ TEST(Profiles, DwhIsAnonDominated)
             file += r.pages;
     }
     EXPECT_GT(anon, 4 * file);
+}
+
+TEST(SyntheticWorkloadDeathTest, ClockMovingInsideABatchPanics)
+{
+    setLogVerbose(false);
+    TestMachine m(2048, 2048);
+    SyntheticWorkload wl(tinyProfile());
+    // An observer stands in for anything that would step the clock
+    // between two accesses of one batch.
+    wl.setObserver([&m](const AccessRecord &) { m.eq.run(m.eq.now() + 1); });
+    wl.init(m.kernel);
+    EXPECT_DEATH(wl.runBatch(m.kernel), "simulated time moved");
 }
 
 TEST(ProfilesDeathTest, UnknownNameIsFatal)
