@@ -8,10 +8,10 @@
  * The BM_E2E* benchmarks run whole fault+reclaim / promote passes over
  * a configurable footprint (TPP_E2E_PAGES, default 2^18 pages) and
  * report pages/sec rate counters. Together with the pages_per_sec
- * counters on the fault, reclaim-scan and LRU-surgery benchmarks, and
- * the accesses_per_sec counters on the resident access and on one
- * cache1 workload batch (the layer that dominates figure runs), they
- * feed the CI perf gate:
+ * counters on the fault, reclaim-scan and LRU-surgery benchmarks, the
+ * accesses_per_sec counters on the resident access and on one cache1
+ * workload batch (the layer that dominates figure runs), and the Zipf
+ * draw and short-lived-distribution rates, they feed the CI perf gate:
  *
  *     micro_mm_ops --benchmark_format=json > out.json
  *     tools/check_perf.py out.json bench/perf_baseline.json
@@ -75,8 +75,29 @@ BM_ZipfSample(benchmark::State &state)
     ZipfDistribution zipf(static_cast<std::uint64_t>(state.range(0)), 0.99);
     for (auto _ : state)
         benchmark::DoNotOptimize(zipf(rng));
+    state.counters["draws_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(1048576);
+
+void
+BM_ZipfShortLived(benchmark::State &state)
+{
+    // A distribution that lives for 20 draws, as ycsb's Zipfian keys do:
+    // they rebuild it after every insert, about every 20 operations.
+    Rng rng(42);
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        ZipfDistribution zipf(100000 + i++, 0.99);
+        for (int draw = 0; draw < 20; ++draw)
+            benchmark::DoNotOptimize(zipf(rng));
+    }
+    state.counters["constructions_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ZipfShortLived);
 
 void
 BM_EventQueueScheduleRun(benchmark::State &state)

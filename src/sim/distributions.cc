@@ -1,5 +1,6 @@
 #include "sim/distributions.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -15,6 +16,8 @@ ZipfDistribution::ZipfDistribution(std::uint64_t n, double theta)
 {
     if (n == 0)
         tpp_fatal("ZipfDistribution requires n >= 1");
+    if (!std::isfinite(theta))
+        tpp_fatal("ZipfDistribution requires a finite theta, got %g", theta);
     if (theta < 0.0)
         tpp_fatal("ZipfDistribution requires theta >= 0");
     hIntegralX1_ = hIntegral(1.5) - 1.0;
@@ -50,61 +53,137 @@ ZipfDistribution::h(double x) const
     return std::exp(-theta_ * std::log(x));
 }
 
+double
+ZipfDistribution::drawU(Rng &rng) const
+{
+    return hIntegralNumberOfElements_ +
+           rng.nextDouble() * (hIntegralX1_ - hIntegralNumberOfElements_);
+}
+
+bool
+ZipfDistribution::acceptsTail(double u, double k) const
+{
+    return u >= hIntegral(k + 0.5) - h(k);
+}
+
 std::uint64_t
-ZipfDistribution::operator()(Rng &rng) const
+ZipfDistribution::attemptExact(double u) const
+{
+    const double x = hIntegralInverse(u);
+    double k = std::floor(x + 0.5);
+    if (k < 1.0)
+        k = 1.0;
+    else if (k > static_cast<double>(n_))
+        k = static_cast<double>(n_);
+    if (k - x <= s_ || acceptsTail(u, k))
+        return static_cast<std::uint64_t>(k);
+    return 0;
+}
+
+// The table path. An attempt needs x = hIntegralInverse(u) only for two
+// comparisons: which integer x + 0.5 lies above (k), and whether
+// k - x <= s. So an approximation x' with |x' - x| <= eps decides both
+// whenever x' + 0.5 is more than eps from an integer and k - x' is more
+// than eps from s, and then returns exactly what the exact attempt
+// returns; past the squeeze, acceptsTail() depends on k and u alone.
+// Every other attempt runs the exact one on the same u, so the rank and
+// the Rng draws never differ from rejection-inversion's.
+//
+// x(u) is interpolated by a cubic Hermite per segment, from node values
+// hIntegralInverse(u_j) and slopes dx/du = x^theta. Its error on a
+// segment of width w is at most w^4/384 max|x''''|, where
+// x'''' = theta (2 theta - 1) (3 theta - 2) x^(4 theta - 3) is monotone
+// in u, so the larger of its values at the two nodes bounds it. eps
+// doubles that, after adding 1e-12 theta to the coefficient to cover
+// its rounding near its zeros (theta = 1/2, 2/3). It then adds 1e-12 of
+// the segment's largest x and of its largest slope times the span of u:
+// many times the rounding of libm, of the nodes, of the segment lookup
+// and of the cubic's evaluation, which are all a few units in the last
+// place of those scales.
+
+void
+ZipfDistribution::buildTable()
+{
+    const double lo = hIntegralX1_;
+    const double span = hIntegralNumberOfElements_ - hIntegralX1_;
+    const double width = span / kSegments;
+    segmentsPerU_ = kSegments / span;
+    const double d4 =
+        std::abs(theta_ * (2.0 * theta_ - 1.0) * (3.0 * theta_ - 2.0)) +
+        1e-12 * theta_;
+    const double hermite = 2.0 * d4 * std::pow(width, 4) / 384.0;
+    const double u_scale =
+        std::abs(hIntegralX1_) + std::abs(hIntegralNumberOfElements_);
+
+    table_.resize(kSegments);
+    double x0 = hIntegralInverse(lo);
+    double m0 = std::pow(x0, theta_);
+    double p0 = std::pow(x0, 4.0 * theta_ - 3.0);
+    for (int j = 0; j < kSegments; ++j) {
+        const double x1 = hIntegralInverse(lo + (j + 1) * width);
+        const double m1 = std::pow(x1, theta_);
+        const double p1 = std::pow(x1, 4.0 * theta_ - 3.0);
+        Segment &seg = table_[j];
+        seg.c0 = x0;
+        seg.c1 = width * m0;
+        seg.c2 = 3.0 * (x1 - x0) - width * (2.0 * m0 + m1);
+        seg.c3 = 2.0 * (x0 - x1) + width * (m0 + m1);
+        seg.eps = hermite * std::max(p0, p1) +
+                  1e-12 * (std::max(x0, x1) + u_scale * std::max(m0, m1));
+        x0 = x1;
+        m0 = m1;
+        p0 = p1;
+    }
+}
+
+std::uint64_t
+ZipfDistribution::attemptTable(double u) const
+{
+    // Every test is written so that a NaN falls back too.
+    const double t = (u - hIntegralX1_) * segmentsPerU_;
+    if (!(t >= 0.0 && t < kSegments))
+        return attemptExact(u);
+    const int j = static_cast<int>(t);
+    const Segment &seg = table_[j];
+    const double tau = t - j;
+    const double x = seg.c0 + tau * (seg.c1 + tau * (seg.c2 + tau * seg.c3));
+    const double y = x + 0.5;
+    // k = floor(y), which must lie in [1, n].
+    if (!(y >= 1.0 && y < static_cast<double>(n_) + 1.0))
+        return attemptExact(u);
+    const auto k = static_cast<double>(static_cast<std::int64_t>(y));
+    const double squeeze = k - x - s_;
+    if (!(y - k > seg.eps && k + 1.0 - y > seg.eps &&
+          std::abs(squeeze) > seg.eps))
+        return attemptExact(u);
+    if (squeeze < 0.0 || acceptsTail(u, k))
+        return static_cast<std::uint64_t>(k);
+    return 0;
+}
+
+std::uint64_t
+ZipfDistribution::operator()(Rng &rng)
+{
+    if (table_.empty()) {
+        if (n_ == 1 || exactDraws_++ < kExactDrawsBeforeTable)
+            return sampleExact(rng);
+        buildTable();
+    }
+    for (;;) {
+        if (const std::uint64_t k = attemptTable(drawU(rng)))
+            return k - 1;
+    }
+}
+
+std::uint64_t
+ZipfDistribution::sampleExact(Rng &rng) const
 {
     if (n_ == 1)
         return 0;
     for (;;) {
-        const double u = hIntegralNumberOfElements_ +
-                         rng.nextDouble() *
-                             (hIntegralX1_ - hIntegralNumberOfElements_);
-        const double x = hIntegralInverse(u);
-        double k = std::floor(x + 0.5);
-        if (k < 1.0)
-            k = 1.0;
-        else if (k > static_cast<double>(n_))
-            k = static_cast<double>(n_);
-        if (k - x <= s_ || u >= hIntegral(k + 0.5) - h(k)) {
-            return static_cast<std::uint64_t>(k) - 1;
-        }
+        if (const std::uint64_t k = attemptExact(drawU(rng)))
+            return k - 1;
     }
-}
-
-ExponentialDistribution::ExponentialDistribution(double mean) : mean_(mean)
-{
-    if (mean <= 0.0)
-        tpp_fatal("ExponentialDistribution requires mean > 0");
-}
-
-double
-ExponentialDistribution::operator()(Rng &rng) const
-{
-    double u;
-    do {
-        u = rng.nextDouble();
-    } while (u <= 0.0);
-    return -mean_ * std::log(u);
-}
-
-BoundedParetoDistribution::BoundedParetoDistribution(double lo, double hi,
-                                                     double alpha)
-    : lo_(lo), hi_(hi), alpha_(alpha)
-{
-    if (lo <= 0.0 || hi <= lo)
-        tpp_fatal("BoundedParetoDistribution requires 0 < lo < hi");
-    if (alpha <= 0.0)
-        tpp_fatal("BoundedParetoDistribution requires alpha > 0");
-}
-
-double
-BoundedParetoDistribution::operator()(Rng &rng) const
-{
-    const double u = rng.nextDouble();
-    const double la = std::pow(lo_, alpha_);
-    const double ha = std::pow(hi_, alpha_);
-    const double x = -(u * ha - u * la - ha) / (ha * la);
-    return std::pow(1.0 / x, 1.0 / alpha_);
 }
 
 } // namespace tpp

@@ -2,16 +2,19 @@
  * @file
  * Sampling distributions used by workload generators.
  *
- * The key one is ZipfDistribution: datacenter access skew (hot keys in
- * Cache, hot heap objects in Web) is conventionally modelled as Zipfian.
- * Sampling uses the rejection-inversion method of Hörmann & Derflinger,
- * which is O(1) per sample and needs no O(n) table.
+ * ZipfDistribution: datacenter access skew (hot keys in Cache, hot heap
+ * objects in Web) is conventionally modelled as Zipfian. Sampling uses
+ * the rejection-inversion method of Hörmann & Derflinger, which is O(1)
+ * per sample and needs no O(n) table. A distribution that keeps drawing
+ * decides most draws from a small cubic table of the inverse instead of
+ * libm, with the same result and the same Rng draws (see operator()).
  */
 
 #ifndef TPP_SIM_DISTRIBUTIONS_HH
 #define TPP_SIM_DISTRIBUTIONS_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/rng.hh"
 
@@ -27,18 +30,60 @@ class ZipfDistribution
   public:
     /**
      * @param n      population size, must be >= 1
-     * @param theta  skew exponent; 0 degenerates to uniform, ~0.99 is the
-     *               YCSB default, larger is more skewed
+     * @param theta  skew exponent, finite and >= 0; 0 degenerates to
+     *               uniform, ~0.99 is the YCSB default, larger is more
+     *               skewed
      */
     ZipfDistribution(std::uint64_t n, double theta);
 
-    /** Draw one rank in [0, n). */
-    std::uint64_t operator()(Rng &rng) const;
+    /**
+     * Draw one rank in [0, n). Returns what sampleExact() returns from
+     * the same Rng state and leaves the Rng in the same state, so the
+     * stream is rejection-inversion's. After kExactDrawsBeforeTable
+     * draws the distribution builds a cubic table of the inverse and
+     * decides each attempt from it when the table's certified error
+     * bound allows, else by the exact attempt on the same variate.
+     */
+    std::uint64_t operator()(Rng &rng);
+
+    /** Draw one rank by rejection-inversion alone: the reference. */
+    std::uint64_t sampleExact(Rng &rng) const;
 
     std::uint64_t size() const { return n_; }
-    double theta() const { return theta_; }
 
   private:
+    friend class ZipfDistributionTestPeer;
+
+    /**
+     * One piece of the cubic Hermite interpolant of x(u) = H^-1(u):
+     * x ~ c0 + t (c1 + t (c2 + t c3)) for t in [0, 1) across the
+     * segment, within eps of hIntegralInverse(u).
+     */
+    struct Segment {
+        double c0, c1, c2, c3;
+        double eps;
+    };
+
+    /** Segments in the table, spread evenly over the variate's range. */
+    static constexpr int kSegments = 512;
+    /** Exact draws made before the table is built. The build costs no
+     *  more than this many exact draws, and a distribution replaced
+     *  sooner (ycsb rebuilds its one on every insert) never pays for a
+     *  table it would not use. */
+    static constexpr std::uint32_t kExactDrawsBeforeTable = 2048;
+
+    /** The uniform variate one attempt inverts. */
+    double drawU(Rng &rng) const;
+    /** One rejection-inversion attempt: the rank plus one, or 0 when
+     *  the attempt is rejected. */
+    std::uint64_t attemptExact(double u) const;
+    /** attemptExact(u) decided from the table where it can be. */
+    std::uint64_t attemptTable(double u) const;
+    /** The attempt's acceptance test for a candidate k past the
+     *  squeeze; it depends on k and u only. */
+    bool acceptsTail(double u, double k) const;
+    void buildTable();
+
     double hIntegral(double x) const;
     double hIntegralInverse(double x) const;
     double h(double x) const;
@@ -48,41 +93,11 @@ class ZipfDistribution
     double hIntegralX1_;
     double hIntegralNumberOfElements_;
     double s_;
-};
 
-/**
- * Exponentially distributed doubles with the given mean.
- * Used for inter-arrival jitter and lifetime draws.
- */
-class ExponentialDistribution
-{
-  public:
-    explicit ExponentialDistribution(double mean);
-
-    double operator()(Rng &rng) const;
-
-    double mean() const { return mean_; }
-
-  private:
-    double mean_;
-};
-
-/**
- * Bounded Pareto distribution over [lo, hi] with shape alpha.
- * Used for heavy-tailed object lifetimes (short-lived request pages with
- * a long tail of long-lived ones).
- */
-class BoundedParetoDistribution
-{
-  public:
-    BoundedParetoDistribution(double lo, double hi, double alpha);
-
-    double operator()(Rng &rng) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double alpha_;
+    std::uint32_t exactDraws_ = 0;
+    /** Segments per unit of u; set with table_. */
+    double segmentsPerU_ = 0.0;
+    std::vector<Segment> table_;
 };
 
 } // namespace tpp

@@ -3,17 +3,56 @@
  * Unit and property tests for the sampling distributions.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/distributions.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace tpp {
+
+/** Reaches the Zipf attempt functions, to compare the table's attempt
+ *  with the exact one on chosen variates. */
+class ZipfDistributionTestPeer
+{
+  public:
+    static void buildTable(ZipfDistribution &zipf) { zipf.buildTable(); }
+    static bool hasTable(const ZipfDistribution &zipf)
+    {
+        return !zipf.table_.empty();
+    }
+    static double hIntegral(const ZipfDistribution &zipf, double x)
+    {
+        return zipf.hIntegral(x);
+    }
+    static double squeeze(const ZipfDistribution &zipf) { return zipf.s_; }
+    static double gridStart(const ZipfDistribution &zipf)
+    {
+        return zipf.hIntegralX1_;
+    }
+    static double gridEnd(const ZipfDistribution &zipf)
+    {
+        return zipf.hIntegralNumberOfElements_;
+    }
+    static std::uint64_t attemptExact(const ZipfDistribution &zipf, double u)
+    {
+        return zipf.attemptExact(u);
+    }
+    static std::uint64_t attemptTable(const ZipfDistribution &zipf, double u)
+    {
+        return zipf.attemptTable(u);
+    }
+};
+
 namespace {
+
+using Peer = ZipfDistributionTestPeer;
 
 TEST(Zipf, StaysInRange)
 {
@@ -104,50 +143,79 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ZipfSweep,
     ::testing::Combine(::testing::Values<std::uint64_t>(2, 16, 1024,
                                                         1048576),
-                       ::testing::Values(0.0, 0.5, 0.9, 0.99, 1.2)));
+                       ::testing::Values(0.0, 0.1, 0.2, 0.5, 0.7, 0.8, 0.9,
+                                         0.99, 1.2)));
 
-TEST(Exponential, MeanConverges)
+TEST_P(ZipfSweep, TablePathMatchesExact)
 {
-    Rng rng(6);
-    ExponentialDistribution exp_dist(42.0);
-    double sum = 0.0;
-    const int n = 200000;
-    for (int i = 0; i < n; ++i)
-        sum += exp_dist(rng);
-    EXPECT_NEAR(sum / n, 42.0, 1.0);
+    // Long enough to build the table and then draw mostly from it.
+    const auto [n, theta] = GetParam();
+    const std::uint64_t seed = n * 37 + static_cast<std::uint64_t>(theta * 100);
+    Rng a(seed), b(seed);
+    ZipfDistribution zipf(n, theta);
+    for (int i = 0; i < 100000; ++i)
+        ASSERT_EQ(zipf(a), zipf.sampleExact(b)) << "draw " << i;
+    EXPECT_TRUE(Peer::hasTable(zipf));
+    EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(Exponential, AlwaysPositive)
+TEST(Zipf, TableAttemptMatchesExactAtEveryBoundary)
 {
-    Rng rng(7);
-    ExponentialDistribution exp_dist(1.0);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_GT(exp_dist(rng), 0.0);
-}
-
-TEST(BoundedPareto, StaysInBounds)
-{
-    Rng rng(8);
-    BoundedParetoDistribution pareto(1.0, 100.0, 1.5);
-    for (int i = 0; i < 20000; ++i) {
-        const double v = pareto(rng);
-        EXPECT_GE(v, 1.0);
-        EXPECT_LE(v, 100.0 + 1e-9);
+    // The variates where an attempt's outcome flips: x = k +- 0.5, where
+    // the rounded rank changes, and x = k - s, the squeeze; with their
+    // neighbours up to 8 ULPs away and both ends of the grid.
+    for (const std::uint64_t n :
+         {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{1024},
+          std::uint64_t{6412}, std::uint64_t{1} << 20}) {
+        for (const double theta : {0.1, 0.7, 0.99, 1.0, 1.2}) {
+            ZipfDistribution zipf(n, theta);
+            Peer::buildTable(zipf);
+            const double s = Peer::squeeze(zipf);
+            std::vector<std::uint64_t> ks;
+            for (std::uint64_t k = 1; k <= std::min<std::uint64_t>(n, 64);
+                 ++k)
+                ks.push_back(k);
+            for (int i = 0; i < 64; ++i)
+                ks.push_back(std::max<std::uint64_t>(
+                    1, std::llround(std::pow(static_cast<double>(n),
+                                             i / 63.0))));
+            std::vector<double> us = {Peer::gridStart(zipf),
+                                      Peer::gridEnd(zipf)};
+            for (const std::uint64_t k : ks) {
+                const double kd = static_cast<double>(k);
+                for (const double x : {kd - 0.5, kd - s, kd + 0.5})
+                    us.push_back(Peer::hIntegral(zipf, x));
+            }
+            for (const double u0 : us) {
+                double down = u0, up = u0;
+                for (int ulp = 0; ulp <= 8; ++ulp) {
+                    for (const double u : {down, up}) {
+                        ASSERT_EQ(Peer::attemptTable(zipf, u),
+                                  Peer::attemptExact(zipf, u))
+                            << "n=" << n << " theta=" << theta
+                            << " u=" << u;
+                    }
+                    down = std::nextafter(down, -HUGE_VAL);
+                    up = std::nextafter(up, HUGE_VAL);
+                }
+            }
+        }
     }
 }
 
-TEST(BoundedPareto, HeavyTailSkewsLow)
+TEST(ZipfDeathTest, NanThetaIsFatal)
 {
-    Rng rng(9);
-    BoundedParetoDistribution pareto(1.0, 1000.0, 2.0);
-    int low = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        if (pareto(rng) < 10.0)
-            low++;
-    }
-    // With alpha=2 the vast majority of mass sits near the low bound.
-    EXPECT_GT(low, n * 9 / 10);
+    setLogVerbose(false);
+    EXPECT_DEATH({ ZipfDistribution zipf(100, std::nan("")); },
+                 "finite theta, got nan");
+}
+
+TEST(ZipfDeathTest, InfiniteThetaIsFatal)
+{
+    setLogVerbose(false);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH({ ZipfDistribution zipf(100, inf); },
+                 "finite theta, got inf");
 }
 
 } // namespace

@@ -347,8 +347,13 @@ TEST(Spec, ShardsRejectIncompatibleObservers)
         EXPECT_NE(valid.error().render().find(needle), std::string::npos)
             << valid.error().render();
     };
-    reject([](ExperimentConfig &c) { c.tenants.push_back({"web"}); },
-           "tenants");
+    reject(
+        [](ExperimentConfig &c) {
+            TenantSpec web;
+            web.workload = "web";
+            c.tenants.push_back(web);
+        },
+        "tenants");
     reject([](ExperimentConfig &c) { c.openLoop.qps = 1e5; },
            "open-loop");
     reject([](ExperimentConfig &c) { c.withChameleon = true; },
