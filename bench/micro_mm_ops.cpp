@@ -10,8 +10,9 @@
  * report pages/sec rate counters. Together with the pages_per_sec
  * counters on the fault, reclaim-scan and LRU-surgery benchmarks, the
  * accesses_per_sec counters on the resident access and on one cache1
- * workload batch (the layer that dominates figure runs), and the Zipf
- * draw and short-lived-distribution rates, they feed the CI perf gate:
+ * workload batch (the layer that dominates figure runs), the Zipf
+ * draw and short-lived-distribution rates, and the requests_per_sec of
+ * an open-loop service run, they feed the CI perf gate:
  *
  *     micro_mm_ops --benchmark_format=json > out.json
  *     tools/check_perf.py out.json bench/perf_baseline.json
@@ -34,6 +35,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "workloads/driver.hh"
 #include "workloads/profiles.hh"
 #include "workloads/synthetic.hh"
 
@@ -169,6 +171,40 @@ BM_SyntheticBatch(benchmark::State &state)
         static_cast<double>(accesses), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SyntheticBatch)->Unit(benchmark::kMicrosecond);
+
+void
+BM_OpenLoopService(benchmark::State &state)
+{
+    // The open-loop request path: Poisson arrivals at 200k requests/s,
+    // the request queue, and one short service batch (four accesses per
+    // request) at each driver event, with the kernel daemons running
+    // between them. phased at wss 4096 on a 1:4 TPP machine, warmed for
+    // one simulated second; each iteration serves 10 simulated ms.
+    const std::uint64_t wss = 4096;
+    const std::uint64_t total =
+        static_cast<std::uint64_t>(static_cast<double>(wss) * 1.03);
+    const std::uint64_t local = total / 5;
+    EventQueue eq;
+    MemorySystem mem(TopologyBuilder::cxlSystem(local, total - local));
+    Kernel kernel(mem, eq, std::make_unique<TppPolicy>());
+    setLogVerbose(false);
+    kernel.start();
+    SyntheticWorkload wl(profiles::phased(wss));
+    DriverConfig cfg;
+    cfg.runUntil = 1000 * kSecond;
+    cfg.measureFrom = kSecond;
+    cfg.openLoop.qps = 2.0e5;
+    WorkloadDriver driver(kernel, wl, cfg);
+    driver.start();
+    eq.run(kSecond);
+
+    for (auto _ : state)
+        eq.run(eq.now() + 10 * kMillisecond);
+    state.counters["requests_per_sec"] = benchmark::Counter(
+        static_cast<double>(driver.windowRequests()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OpenLoopService)->Unit(benchmark::kMicrosecond);
 
 void
 BM_MinorFault(benchmark::State &state)

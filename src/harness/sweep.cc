@@ -103,6 +103,25 @@ canonicalKey(const ExperimentConfig &cfg)
     field(out, "hot.counterTableSize", cfg.hotness.counterTableSize);
     field(out, "hot.decayHalfLife", cfg.hotness.decayHalfLife);
     fieldDouble(out, "hot.targetQuantile", cfg.hotness.targetQuantile);
+    const AdaptiveConfig &ad = cfg.adaptive;
+    field(out, "ad.enable", ad.enable);
+    field(out, "ad.windowPeriod", ad.windowPeriod);
+    field(out, "ad.profileWindows", ad.profileWindows);
+    fieldDouble(out, "ad.hysteresisPct", ad.hysteresisPct);
+    fieldDouble(out, "ad.wakeDriftPct", ad.wakeDriftPct);
+    fieldDouble(out, "ad.weightLocal", ad.weightLocal);
+    fieldDouble(out, "ad.weightPingPong", ad.weightPingPong);
+    fieldDouble(out, "ad.weightStall", ad.weightStall);
+    fieldDouble(out, "ad.weightSlo", ad.weightSlo);
+    fieldDouble(out, "ad.weightMigrate", ad.weightMigrate);
+    field(out, "ad.flapFlips", ad.flapFlips);
+    field(out, "ad.flapBias", ad.flapBias);
+    field(out, "ad.promoteThreshold", ad.promoteThreshold);
+    field(out, "ad.promoteThresholdMax", ad.promoteThresholdMax);
+    field(out, "ad.scanSizeMin", ad.scanSizeMin);
+    field(out, "ad.scanSizeMax", ad.scanSizeMax);
+    fieldDouble(out, "ad.demoteScaleMin", ad.demoteScaleMin);
+    fieldDouble(out, "ad.demoteScaleMax", ad.demoteScaleMax);
     // Like telemetry: recall measurement never perturbs the simulation,
     // but the result carries extra fields, so no shared memo slot.
     field(out, "measureHotness", cfg.measureHotness);
@@ -116,19 +135,25 @@ canonicalKey(const ExperimentConfig &cfg)
     fieldDouble(out, "ol.diurnalAmplitude", cfg.openLoop.diurnalAmplitude);
     out << "tenants=[";
     for (const TenantSpec &tenant : cfg.tenants) {
-        out << tenant.workload << ':' << tenant.wssPages << ':';
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", tenant.lowFraction);
-        out << buf << ':';
-        std::snprintf(buf, sizeof(buf), "%.17g", tenant.budgetMBps);
-        out << buf << ':' << tenant.placement << ':';
-        std::snprintf(buf, sizeof(buf), "%.17g", tenant.openLoop.qps);
-        out << buf << ':' << tenant.openLoop.arrival << ':';
-        std::snprintf(buf, sizeof(buf), "%.17g",
-                      tenant.openLoop.sloP99Us);
-        out << buf << ',';
+        const OpenLoopSpec &ol = tenant.openLoop;
+        field(out, "workload", tenant.workload);
+        field(out, "wssPages", tenant.wssPages);
+        fieldDouble(out, "low", tenant.lowFraction);
+        fieldDouble(out, "budget", tenant.budgetMBps);
+        field(out, "place", tenant.placement);
+        fieldDouble(out, "qps", ol.qps);
+        field(out, "arrival", ol.arrival);
+        fieldDouble(out, "slo", ol.sloP99Us);
+        fieldDouble(out, "burstFactor", ol.burstFactor);
+        fieldDouble(out, "burstOnFraction", ol.burstOnFraction);
+        field(out, "burstPeriod", ol.burstPeriod);
+        field(out, "diurnalPeriod", ol.diurnalPeriod);
+        fieldDouble(out, "diurnalAmplitude", ol.diurnalAmplitude);
+        out << ',';
     }
     out << "];";
+    field(out, "shards", cfg.shards);
+    field(out, "shardRegions", cfg.shardRegions);
     return out.str();
 }
 

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sim/logging.hh"
-
 namespace tpp {
 
 EventId
@@ -54,6 +52,8 @@ EventQueue::popNext(Item &out)
 void
 EventQueue::run(Tick until)
 {
+    running_ = true;
+    horizon_ = until;
     Item item;
     while (!queue_.empty()) {
         // Peek first so we never advance past `until`.
@@ -70,6 +70,9 @@ EventQueue::run(Tick until)
         now_ = item.when;
         item.fn();
     }
+    // A run() nested in a handler clears the flag on return, so the
+    // enclosing run() serves nothing inline after it: safe, only slower.
+    running_ = false;
     if (now_ < until)
         now_ = until;
 }

@@ -7,6 +7,10 @@
  * order they were scheduled — a property several kernel daemons rely on
  * (e.g. kswapd runs before a workload batch scheduled at the same tick
  * only if it was scheduled first).
+ *
+ * A handler that would reschedule itself can instead ask serveInline()
+ * whether its next event would be the very next one popped; if so it
+ * runs that event in place, without a queue round trip.
  */
 
 #ifndef TPP_SIM_EVENT_QUEUE_HH
@@ -18,6 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace tpp {
@@ -68,6 +73,35 @@ class EventQueue
      */
     void run(Tick until);
 
+    /**
+     * Serve the caller's next event inline instead of scheduling it.
+     * Inside run(until), when `when` is strictly earlier than the next
+     * queued event and not past `until`, that event would be popped
+     * next anyway: set now() to `when` and return true, and the caller
+     * runs its event in place. Otherwise return false and the caller
+     * schedules it. A tick equal to the head's is refused (the queued
+     * event is older, so same-tick FIFO order holds), as is any call
+     * outside run() and any call while the head is a cancelled event.
+     */
+    bool
+    serveInline(Tick when)
+    {
+        if (!running_ || when > horizon_)
+            return false;
+        if (when < now_)
+            tpp_panic("serving an event in the past (%llu < %llu)",
+                      static_cast<unsigned long long>(when),
+                      static_cast<unsigned long long>(now_));
+        if (!queue_.empty()) {
+            const Item &head = queue_.top();
+            if (when >= head.when ||
+                (!cancelled_.empty() && cancelled_.count(head.id)))
+                return false;
+        }
+        now_ = when;
+        return true;
+    }
+
     /** Run until the queue is completely empty. */
     void runAll();
 
@@ -95,6 +129,9 @@ class EventQueue
     bool popNext(Item &out);
 
     Tick now_ = 0;
+    /** Inside run(), and its horizon: what serveInline() may serve. */
+    bool running_ = false;
+    Tick horizon_ = 0;
     EventId nextId_ = 1;
     std::priority_queue<Item, std::vector<Item>, Order> queue_;
     std::unordered_set<EventId> cancelled_;

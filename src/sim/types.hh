@@ -45,6 +45,8 @@ inline constexpr Tick kNanosecond = 1;
 inline constexpr Tick kMicrosecond = 1000 * kNanosecond;
 inline constexpr Tick kMillisecond = 1000 * kMicrosecond;
 inline constexpr Tick kSecond = 1000 * kMillisecond;
+/** Later than any event: "never". */
+inline constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
 
 /** Page content classification, mirroring the kernel's anon/file split. */
 enum class PageType : std::uint8_t {

@@ -15,7 +15,10 @@
  *
  * The buffer is a fixed-capacity ring: when full, the oldest record is
  * overwritten and counted as dropped, so a run can never grow memory
- * without bound (the Linux ftrace ring behaves the same way).
+ * without bound (the Linux ftrace ring behaves the same way). Its
+ * storage is reserved, not filled, when tracing is enabled: records are
+ * appended until the ring is full, so a run pays only for the pages it
+ * writes.
  *
  * This header is intentionally header-only and free of ostream/string
  * dependencies so the mm hot paths pay no extra include or link cost;
@@ -136,12 +139,11 @@ class TraceBuffer
 
     bool enabled() const { return enabled_; }
 
-    /** Turn emission on; allocates the ring storage on first use. */
+    /** Turn emission on; reserves the ring storage on first use. */
     void
     enable()
     {
-        if (ring_.size() != capacity_)
-            ring_.resize(capacity_);
+        ring_.reserve(capacity_);
         enabled_ = true;
     }
 
@@ -156,18 +158,15 @@ class TraceBuffer
     setCapacity(std::size_t capacity)
     {
         capacity_ = capacity ? capacity : 1;
-        ring_.clear();
+        std::vector<TraceRecord>().swap(ring_);
         if (enabled_)
-            ring_.resize(capacity_);
-        head_ = 0;
-        size_ = 0;
-        emitted_ = 0;
-        dropped_ = 0;
+            ring_.reserve(capacity_);
+        clear();
     }
 
     std::size_t capacity() const { return capacity_; }
     /** Records currently held (≤ capacity). */
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return ring_.size(); }
     /** Total records emitted since the last clear, drops included. */
     std::uint64_t emitted() const { return emitted_; }
     /** Records overwritten because the ring wrapped. */
@@ -177,8 +176,8 @@ class TraceBuffer
     void
     clear()
     {
+        ring_.clear();
         head_ = 0;
-        size_ = 0;
         emitted_ = 0;
         dropped_ = 0;
     }
@@ -238,12 +237,12 @@ class TraceBuffer
     std::vector<TraceRecord>
     snapshot() const
     {
+        // Oldest record sits at head_ once the ring has wrapped (head_
+        // is 0 until then).
         std::vector<TraceRecord> out;
-        out.reserve(size_);
-        // Oldest record sits at head_ once the ring has wrapped.
-        const std::size_t start = (size_ == capacity_) ? head_ : 0;
-        for (std::size_t i = 0; i < size_; ++i)
-            out.push_back(ring_[(start + i) % capacity_]);
+        out.reserve(ring_.size());
+        out.insert(out.end(), ring_.begin() + head_, ring_.end());
+        out.insert(out.end(), ring_.begin(), ring_.begin() + head_);
         return out;
     }
 
@@ -251,19 +250,21 @@ class TraceBuffer
     void
     push(const TraceRecord &r)
     {
-        ring_[head_] = r;
-        head_ = (head_ + 1) % capacity_;
-        if (size_ < capacity_)
-            size_++;
-        else
-            dropped_++;
         emitted_++;
+        if (ring_.size() < capacity_) {
+            ring_.push_back(r);
+            return;
+        }
+        ring_[head_] = r;
+        if (++head_ == capacity_)
+            head_ = 0;
+        dropped_++;
     }
 
     std::vector<TraceRecord> ring_;
     std::size_t capacity_;
+    /** Oldest record (and next overwrite) once the ring is full. */
     std::size_t head_ = 0;
-    std::size_t size_ = 0;
     std::uint64_t emitted_ = 0;
     std::uint64_t dropped_ = 0;
     bool enabled_ = false;

@@ -94,10 +94,26 @@ WorkloadDriver::batchTick()
 void
 WorkloadDriver::openLoopTick()
 {
+    // Serve the driver's own next event in place while it would be the
+    // next one popped anyway; queue it only when something else is due
+    // first (or the run's horizon ends the loop).
+    EventQueue &eq = kernel_.eventQueue();
+    Tick next;
+    do {
+        next = serveOpenLoop();
+        if (next == kMaxTick)
+            return;
+    } while (eq.serveInline(next));
+    eq.schedule(next, [this] { openLoopTick(); });
+}
+
+Tick
+WorkloadDriver::serveOpenLoop()
+{
     EventQueue &eq = kernel_.eventQueue();
     const Tick now = eq.now();
     if (now >= cfg_.runUntil || workload_.done())
-        return;
+        return kMaxTick;
 
     // Finish any warm-up closed-loop before admitting traffic; an
     // open-loop stream against an unpopulated working set would only
@@ -111,8 +127,7 @@ WorkloadDriver::openLoopTick()
         const Tick duration =
             std::max<Tick>(1, static_cast<Tick>(result.durationNs));
         lastBatchEnd_ = now + duration;
-        eq.scheduleAfter(duration, [this] { openLoopTick(); });
-        return;
+        return now + duration;
     }
 
     if (!arrivalsStarted_) {
@@ -145,9 +160,8 @@ WorkloadDriver::openLoopTick()
     if (pending_.empty()) {
         // Idle until the next arrival.
         if (nextArrivalAt_ >= cfg_.runUntil)
-            return;
-        eq.schedule(nextArrivalAt_, [this] { openLoopTick(); });
-        return;
+            return kMaxTick;
+        return nextArrivalAt_;
     }
 
     const std::uint64_t n = std::min<std::uint64_t>(
@@ -185,7 +199,7 @@ WorkloadDriver::openLoopTick()
     }
 
     lastBatchEnd_ = now + duration;
-    eq.scheduleAfter(duration, [this] { openLoopTick(); });
+    return now + duration;
 }
 
 void

@@ -162,6 +162,13 @@ class WorkloadDriver
   private:
     void batchTick();
     void openLoopTick();
+    /**
+     * Serve one open-loop event at now(): a warm-up batch, admission
+     * and a service batch, or nothing while idle.
+     * @return the tick of the driver's next event, or kMaxTick when
+     *         it has none.
+     */
+    Tick serveOpenLoop();
     void sampleTick();
     void beginMeasurement();
 

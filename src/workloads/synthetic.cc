@@ -101,15 +101,42 @@ SyntheticWorkload::regionPhaseOn(const RegionSpec &spec, Tick now) const
            spec.phaseDuty * static_cast<double>(spec.phasePeriod);
 }
 
+Tick
+SyntheticWorkload::nextPhaseEdge(const RegionSpec &spec, Tick now) const
+{
+    // The region is on while pos < duty * period, so its state is
+    // constant on [0, K) and [K, period) with K the ceiling of that
+    // product. K is floor or floor + 1: taking the first of both (and
+    // the wrap) past pos is never later than the real edge.
+    const Tick pos = (now + spec.phaseOffset) % spec.phasePeriod;
+    const Tick floor_on = static_cast<Tick>(
+        spec.phaseDuty * static_cast<double>(spec.phasePeriod));
+    Tick edge = spec.phasePeriod;
+    for (const Tick candidate : {floor_on, floor_on + 1}) {
+        if (candidate > pos && candidate < edge)
+            edge = candidate;
+    }
+    return now + (edge - pos);
+}
+
 void
 SyntheticWorkload::refreshPhaseWeights(Tick now)
 {
-    // Cheap per-batch check: rebuild the prefix table only on the batch
-    // where some region crossed a phase edge.
+    // Rebuild the prefix table only on the batch where some region
+    // crossed a phase edge, and look at the regions only once one can
+    // have.
+    if (now < phaseValidUntil_)
+        return;
     std::uint64_t mask = 0;
+    phaseValidUntil_ = kMaxTick;
     for (std::size_t i = 0; i < regions_.size(); ++i) {
-        if (regionPhaseOn(regions_[i].spec, now))
+        const RegionSpec &spec = regions_[i].spec;
+        if (regionPhaseOn(spec, now))
             mask |= std::uint64_t{1} << i;
+        if (spec.phasePeriod != 0) {
+            phaseValidUntil_ =
+                std::min(phaseValidUntil_, nextPhaseEdge(spec, now));
+        }
     }
     if (mask == phaseMask_)
         return;
@@ -131,6 +158,14 @@ SyntheticWorkload::refreshPhaseWeights(Tick now)
 void
 SyntheticWorkload::refreshGeometry(Tick now)
 {
+    // Geometry is a function of the ticks since the region's last churn
+    // alone, through its active pages and its rotation step count. Skip
+    // the work until one of them can move. Nothing else moves hotPages
+    // or active, so the lazy Zipf check of sampleRegionVpn() would
+    // repeat its last answer until then and keeps its zipfChecked flag.
+    if (now < geometryValidUntil_)
+        return;
+    geometryValidUntil_ = kMaxTick;
     for (RegionState &region : regions_) {
         const RegionSpec &spec = region.spec;
         const std::uint64_t active = activePages(region, now);
@@ -149,7 +184,18 @@ SyntheticWorkload::refreshGeometry(Tick now)
                          static_cast<std::uint64_t>(
                              static_cast<double>(steps) * step_pages)) %
                         active;
+            geometryValidUntil_ =
+                std::min(geometryValidUntil_,
+                         region.lastChurn +
+                             (steps + 1) * spec.rotationPeriod);
         }
+        // A region growing toward its reservation may gain a page at
+        // any tick; one that has reached it stays there until a churn.
+        const bool growing =
+            spec.growthPagesPerSec < 0.0 ||
+            (spec.growthPagesPerSec > 0.0 && active < spec.pages);
+        if (growing)
+            geometryValidUntil_ = std::min(geometryValidUntil_, now + 1);
         region.active = active;
         region.hotPages = hot_pages;
         region.hotStart = hot_start;
@@ -168,9 +214,9 @@ SyntheticWorkload::sampleRegionVpn(RegionState &region)
         if (!region.zipfChecked) {
             // Rebuild the Zipf sampler only when the hot-set size moved
             // noticeably; construction is cheap but not free. Decided
-            // at the batch's first hot draw: deciding at batch start
-            // would also rebuild in batches that draw nothing hot here,
-            // which changes the stream.
+            // at the first hot draw after the geometry was computed:
+            // deciding at batch start would also rebuild in batches
+            // that draw nothing hot here, which changes the stream.
             const std::uint64_t hot_pages = region.hotPages;
             if (!region.zipf ||
                 (region.cachedHotPages != hot_pages &&
@@ -308,6 +354,7 @@ SyntheticWorkload::maintainChurn(Kernel &kernel, Tick now)
         region.lastChurn = now;
         region.zipf.reset();
         region.cachedHotPages = 0;
+        geometryValidUntil_ = 0;
         if (spec.populateOnChurn) {
             for (std::uint64_t i = 0; i < spec.pages; ++i) {
                 duration += issueAccess(kernel, region.base + i,
@@ -344,7 +391,8 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
     if (anyPhased_)
         refreshPhaseWeights(now);
     // A batch runs at one simulated tick: nothing it calls advances the
-    // event queue, so each region's geometry holds for the whole batch.
+    // event queue, so each region's geometry holds for the whole batch
+    // (and, until refreshGeometry() says otherwise, for later batches).
     // The check below keeps that true.
     refreshGeometry(now);
 

@@ -171,11 +171,12 @@ class SyntheticWorkload : public Workload
         std::optional<ZipfDistribution> zipf;
 
         // Sampling geometry at the current batch's tick, set by
-        // refreshGeometry() at the start of every operation batch.
+        // refreshGeometry() whenever it can have changed.
         std::uint64_t active = 1;   //!< pages in use
         std::uint64_t hotPages = 1; //!< hot-window size
         std::uint64_t hotStart = 0; //!< hot-window start, < active
-        /** The lazy Zipf rebuild check has run in this batch. */
+        /** The lazy Zipf rebuild check has run since the geometry was
+         *  last computed. */
         bool zipfChecked = false;
         /** Hot and echo offsets stay below 2 * active (set by the check). */
         bool wrapOnce = false;
@@ -191,9 +192,15 @@ class SyntheticWorkload : public Workload
                        BatchResult &result);
     /** @return true when `spec` is inside its on-phase window at `now`. */
     bool regionPhaseOn(const RegionSpec &spec, Tick now) const;
+    /**
+     * The first tick after `now` at which `spec`'s phase state can
+     * flip; may be early (never late) around a fractional on-window.
+     */
+    Tick nextPhaseEdge(const RegionSpec &spec, Tick now) const;
     /** Rebuild weightPrefix_ when any region's phase state flipped. */
     void refreshPhaseWeights(Tick now);
-    /** Compute every region's sampling geometry for a batch at `now`. */
+    /** Compute every region's sampling geometry for a batch at `now`,
+     *  unless nothing it depends on can have moved since the last. */
     void refreshGeometry(Tick now);
     Vpn sampleRegionVpn(RegionState &region);
     std::uint64_t activePages(const RegionState &region, Tick now) const;
@@ -214,6 +221,14 @@ class SyntheticWorkload : public Workload
     bool anyPhased_ = false;
     /** Bitmask of per-region on/off states the table was built for. */
     std::uint64_t phaseMask_ = ~std::uint64_t{0};
+    /** phaseMask_ holds for every tick before this one. */
+    Tick phaseValidUntil_ = 0;
+    /**
+     * Every region's geometry holds for every tick before this one: the
+     * next rotation step, the next batch while a region grows, or 0
+     * after a churn.
+     */
+    Tick geometryValidUntil_ = 0;
 
     // Warm-up cursor.
     std::size_t warmupCursorRegion_ = 0;

@@ -61,6 +61,17 @@ struct TestMachine {
     NodeId cxl() const { return mem.cxlNodes().front(); }
 };
 
+/** FNV-1a over the eight bytes of `word`, for golden stream hashes. */
+inline std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (word >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
 } // namespace test
 } // namespace tpp
 

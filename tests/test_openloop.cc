@@ -2,15 +2,17 @@
  * @file
  * Open-loop traffic layer tests: arrival-process determinism and rate
  * accuracy, the latency histogram, ExperimentConfig::validate(), the
- * driver's queueing behaviour under an offered rate, and the golden
+ * driver's queueing behaviour under an offered rate, the golden
  * fingerprints that pin closed-loop results bit-identical across the
- * spec/open-loop API redesign.
+ * spec/open-loop API redesign, and the open-loop goldens that pin the
+ * request-serving path itself.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
 #include "sim/logging.hh"
+#include "test_common.hh"
 #include "workloads/arrival.hh"
 #include "workloads/latency.hh"
 
@@ -427,6 +429,161 @@ TEST(GoldenFingerprint, TenantClosedLoop)
     EXPECT_EQ(r.tenants[1].meanAccessLatencyNs, 139.27323423578116);
     EXPECT_EQ(r.tenants[1].pagesLocal, 978u);
     EXPECT_EQ(r.tenants[1].pagesTotal, 2553u);
+}
+
+// ---------------------------------------------------------------------
+// Open-loop golden fingerprints: the request-serving path (arrivals,
+// the request queue, service batches, completion latencies) and the
+// daemons interleaved with it, pinned %.17g exact.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over every record of a trace snapshot, in snapshot order. */
+std::uint64_t
+traceHash(const std::vector<TraceRecord> &trace)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const TraceRecord &r : trace) {
+        hash = test::fnv1a(hash, r.tick);
+        hash = test::fnv1a(hash, r.vpn);
+        hash = test::fnv1a(
+            hash, static_cast<std::uint64_t>(r.event) << 32 | r.aux);
+    }
+    return hash;
+}
+
+TEST(GoldenFingerprint, OpenLoopAdaptiveStack)
+{
+    // The perfbench phased-adaptive preset, shrunk: async migration,
+    // PPT, the adaptive tuner, tracepoints into a ring small enough to
+    // wrap, and hot-set ranking, with one phase flip inside the run.
+    setLogVerbose(false);
+    ExperimentConfig cfg;
+    cfg.workload = "phased";
+    cfg.policy = "adaptive";
+    cfg.wssPages = 4096;
+    cfg.localFraction = 0.2;
+    cfg.runUntil = 4 * kSecond;
+    cfg.measureFrom = 1 * kSecond;
+    cfg.measureHotness = true;
+    cfg.traceEnabled = true;
+    cfg.traceCapacity = 1u << 12;
+    cfg.migration = MigrationConfig::asyncEngine();
+    cfg.openLoop.qps = 2.0e5;
+    cfg.openLoop.sloP99Us = 500.0;
+    cfg.sysctls = {{"vm.ppt.enable", "1"},
+                   {"vm.adaptive.enable", "1"},
+                   {"vm.adaptive.window_ns", "100000000"},
+                   {"vm.adaptive.w_slo", "4"}};
+    const ExperimentResult r = runExperiment(cfg);
+
+    EXPECT_EQ(r.throughput, 200564.200894106);
+    EXPECT_EQ(r.meanAccessLatencyNs, 180.72883178338557);
+    EXPECT_EQ(r.openLoop.requests, 601693u);
+    EXPECT_EQ(r.openLoop.dropped, 0u);
+    EXPECT_EQ(r.openLoop.p50Ns, 1338.0089987871199);
+    EXPECT_EQ(r.openLoop.p99Ns, 81497.767073683994);
+    EXPECT_EQ(r.openLoop.meanQueueDepth, 1.6759608396013652);
+    EXPECT_EQ(r.openLoop.maxQueueDepth, 208u);
+    EXPECT_EQ(r.openLoop.sloAttainment, 0.9993335471743896);
+    EXPECT_EQ(r.hotSetRecall, 0.21358024691358024);
+    EXPECT_EQ(r.hotSetPages, 810u);
+    EXPECT_EQ(r.traceEmitted, 1161779u);
+    EXPECT_EQ(r.traceDropped, 1157683u);
+    EXPECT_EQ(r.trace.size(), std::size_t{1} << 12);
+    // The newest 4,096 records, oldest first, after the ring wrapped.
+    EXPECT_EQ(traceHash(r.trace), 0x8bbd6dff056fe508ULL);
+    EXPECT_EQ(r.vmstat.get(Vm::PgPromoteSuccess), 2653u);
+    EXPECT_EQ(r.vmstat.get(Vm::PgDemoteAnon) +
+                  r.vmstat.get(Vm::PgDemoteFile),
+              3975u);
+    EXPECT_EQ(r.vmstat.get(Vm::PptThrottledPromote), 9483u);
+    EXPECT_EQ(r.vmstat.get(Vm::PptThrottledDemote), 926354u);
+}
+
+TEST(GoldenFingerprint, OpenLoopTenantBesideChurn)
+{
+    setLogVerbose(false);
+    ExperimentConfig cfg;
+    cfg.policy = "tpp";
+    cfg.wssPages = 4096;
+    cfg.localFraction = 0.25;
+    cfg.runUntil = 3 * kSecond;
+    cfg.measureFrom = 1500 * kMillisecond;
+    cfg.tenants = parseTenantsSpec("dwh:qps=200000:slo=500:low=0.5;churn");
+    const ExperimentResult r = runExperiment(cfg);
+
+    EXPECT_EQ(r.throughput, 819372.57421931275);
+    EXPECT_EQ(r.meanAccessLatencyNs, 139.15844355564249);
+    ASSERT_EQ(r.tenants.size(), 2u);
+    EXPECT_EQ(r.tenants[0].throughput, 200926.98948027869);
+    EXPECT_EQ(r.tenants[1].throughput, 618445.58473903406);
+    EXPECT_EQ(r.openLoop.requests, 301391u);
+    EXPECT_EQ(r.openLoop.dropped, 0u);
+    EXPECT_EQ(r.openLoop.p50Ns, 1695.8271314861993);
+    EXPECT_EQ(r.openLoop.p99Ns, 467959.31151515787);
+    EXPECT_EQ(r.openLoop.meanQueueDepth, 4.2605649637520111);
+    EXPECT_EQ(r.openLoop.maxQueueDepth, 498u);
+    EXPECT_EQ(r.openLoop.sloAttainment, 0.99031822449907259);
+    EXPECT_EQ(r.vmstat.get(Vm::PgPromoteSuccess), 2955u);
+    EXPECT_EQ(r.vmstat.get(Vm::PgDemoteAnon) +
+                  r.vmstat.get(Vm::PgDemoteFile),
+              20172u);
+}
+
+TEST(GoldenFingerprint, OpenLoopBurstyAndDiurnalArrivals)
+{
+    setLogVerbose(false);
+    struct Golden {
+        const char *arrival;
+        double throughput;
+        double meanAccessLatencyNs;
+        std::uint64_t requests;
+        double p50Ns;
+        double p99Ns;
+        double meanQueueDepth;
+        std::uint64_t maxQueueDepth;
+        double sloAttainment;
+        std::uint64_t promotions;
+        std::uint64_t demotions;
+    };
+    const Golden goldens[] = {
+        {"bursty", 299619.78252247907, 91.580243654063835, 599237,
+         1061561.093079529, 5134625.9831629014, 422.06499437870843, 4672,
+         0.30960204393253421, 3186, 3475},
+        {"diurnal", 256674.16439980231, 92.521713642412792, 513348,
+         1193.7409236016101, 27556.249600000381, 1.2144053523266283, 232,
+         0.99811823558287949, 3310, 3561},
+    };
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(g.arrival);
+        ExperimentConfig cfg;
+        cfg.workload = "cache1";
+        cfg.policy = "tpp";
+        cfg.wssPages = 2048;
+        cfg.localFraction = 0.5;
+        cfg.runUntil = 3 * kSecond;
+        cfg.measureFrom = 1 * kSecond;
+        cfg.openLoop.qps = 3.0e5;
+        cfg.openLoop.arrival = g.arrival;
+        cfg.openLoop.sloP99Us = 200.0;
+        cfg.openLoop.burstPeriod = 400 * kMillisecond;
+        cfg.openLoop.diurnalPeriod = 1500 * kMillisecond;
+        const ExperimentResult r = runExperiment(cfg);
+
+        EXPECT_EQ(r.throughput, g.throughput);
+        EXPECT_EQ(r.meanAccessLatencyNs, g.meanAccessLatencyNs);
+        EXPECT_EQ(r.openLoop.requests, g.requests);
+        EXPECT_EQ(r.openLoop.dropped, 0u);
+        EXPECT_EQ(r.openLoop.p50Ns, g.p50Ns);
+        EXPECT_EQ(r.openLoop.p99Ns, g.p99Ns);
+        EXPECT_EQ(r.openLoop.meanQueueDepth, g.meanQueueDepth);
+        EXPECT_EQ(r.openLoop.maxQueueDepth, g.maxQueueDepth);
+        EXPECT_EQ(r.openLoop.sloAttainment, g.sloAttainment);
+        EXPECT_EQ(r.vmstat.get(Vm::PgPromoteSuccess), g.promotions);
+        EXPECT_EQ(r.vmstat.get(Vm::PgDemoteAnon) +
+                      r.vmstat.get(Vm::PgDemoteFile),
+                  g.demotions);
+    }
 }
 
 } // namespace

@@ -202,6 +202,16 @@ TEST(Sweep, CanonicalKeySeparatesConfigs)
     copy.migration.rateLimitMBps = 64.0;
     EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
 
+    // Shard geometry changes the simulated machine (regions) or at
+    // least what the result carries (shard stats).
+    copy = cfg;
+    copy.shards = 4;
+    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+
+    copy = cfg;
+    copy.shardRegions = 4;
+    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+
     // The twin differs from its source and strips policy state — and
     // telemetry, so every figure shares one cached baseline run.
     ExperimentConfig source = cfg;
@@ -339,10 +349,96 @@ TEST(Sweep, CanonicalKeySeparatesOpenLoopConfigs)
     tenanted_ol.tenants[0].openLoop.qps = 1e5;
     EXPECT_NE(canonicalKey(tenanted), canonicalKey(tenanted_ol));
 
+    // And so does each of its arrival-shape knobs.
+    const std::vector<std::pair<const char *, void (*)(OpenLoopSpec &)>>
+        shapes = {
+            {"burstFactor", [](OpenLoopSpec &o) { o.burstFactor += 1; }},
+            {"burstOnFraction",
+             [](OpenLoopSpec &o) { o.burstOnFraction /= 2; }},
+            {"burstPeriod", [](OpenLoopSpec &o) { o.burstPeriod *= 2; }},
+            {"diurnalPeriod",
+             [](OpenLoopSpec &o) { o.diurnalPeriod *= 2; }},
+            {"diurnalAmplitude",
+             [](OpenLoopSpec &o) { o.diurnalAmplitude /= 2; }},
+        };
+    for (const auto &[name, mutate] : shapes) {
+        ExperimentConfig shaped = tenanted_ol;
+        mutate(shaped.tenants[0].openLoop);
+        EXPECT_NE(canonicalKey(tenanted_ol), canonicalKey(shaped)) << name;
+    }
+
     // The all-local twin is closed-loop: open-loop shape must not
     // split the shared baseline cache entry.
     EXPECT_EQ(canonicalKey(allLocalTwin(cfg)),
               canonicalKey(allLocalTwin(copy)));
+}
+
+TEST(Sweep, CanonicalKeySeparatesAdaptiveConfigs)
+{
+    // Every AdaptiveConfig field steers the tuner, so each one on its
+    // own must move the key.
+    const ExperimentConfig cfg = smallConfig("phased", "adaptive", "1:4");
+    const std::vector<std::pair<const char *, void (*)(AdaptiveConfig &)>>
+        mutations = {
+            {"enable", [](AdaptiveConfig &a) { a.enable = !a.enable; }},
+            {"windowPeriod",
+             [](AdaptiveConfig &a) { a.windowPeriod /= 4; }},
+            {"profileWindows",
+             [](AdaptiveConfig &a) { a.profileWindows++; }},
+            {"hysteresisPct",
+             [](AdaptiveConfig &a) { a.hysteresisPct += 1; }},
+            {"wakeDriftPct", [](AdaptiveConfig &a) { a.wakeDriftPct += 1; }},
+            {"weightLocal", [](AdaptiveConfig &a) { a.weightLocal += 1; }},
+            {"weightPingPong",
+             [](AdaptiveConfig &a) { a.weightPingPong += 1; }},
+            {"weightStall", [](AdaptiveConfig &a) { a.weightStall += 1; }},
+            {"weightSlo", [](AdaptiveConfig &a) { a.weightSlo += 1; }},
+            {"weightMigrate",
+             [](AdaptiveConfig &a) { a.weightMigrate += 1; }},
+            {"flapFlips", [](AdaptiveConfig &a) { a.flapFlips++; }},
+            {"flapBias", [](AdaptiveConfig &a) { a.flapBias++; }},
+            {"promoteThreshold",
+             [](AdaptiveConfig &a) { a.promoteThreshold++; }},
+            {"promoteThresholdMax",
+             [](AdaptiveConfig &a) { a.promoteThresholdMax++; }},
+            {"scanSizeMin", [](AdaptiveConfig &a) { a.scanSizeMin *= 2; }},
+            {"scanSizeMax", [](AdaptiveConfig &a) { a.scanSizeMax *= 2; }},
+            {"demoteScaleMin",
+             [](AdaptiveConfig &a) { a.demoteScaleMin += 0.5; }},
+            {"demoteScaleMax",
+             [](AdaptiveConfig &a) { a.demoteScaleMax += 0.5; }},
+        };
+    for (const auto &[name, mutate] : mutations) {
+        ExperimentConfig copy = cfg;
+        mutate(copy.adaptive);
+        EXPECT_NE(canonicalKey(cfg), canonicalKey(copy)) << name;
+    }
+}
+
+TEST(Sweep, DedupedSweepReturnsEachConfigsOwnResult)
+{
+    // Configs that differ only in a field the key once missed: a memo
+    // that merged them would hand the second the first one's result.
+    ExperimentConfig one_shard = smallConfig("cache1", "tpp", "1:4");
+    ExperimentConfig four_shards = one_shard;
+    four_shards.shards = 4;
+    ExperimentConfig slow_tuner = smallConfig("phased", "adaptive", "1:4");
+    slow_tuner.sysctls = {{"vm.adaptive.enable", "1"}};
+    ExperimentConfig fast_tuner = slow_tuner;
+    fast_tuner.adaptive.windowPeriod = 50 * kMillisecond;
+    const std::vector<ExperimentConfig> cfgs = {one_shard, four_shards,
+                                                slow_tuner, fast_tuner};
+
+    SweepOptions opts;
+    opts.jobs = 2;
+    const std::vector<ExperimentResult> swept = SweepRunner(opts).run(cfgs);
+    ASSERT_EQ(swept.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        EXPECT_EQ(fingerprint(swept[i]), fingerprint(runExperiment(cfgs[i])))
+            << "config " << i;
+    }
+    EXPECT_NE(fingerprint(swept[0]), fingerprint(swept[1]));
+    EXPECT_NE(fingerprint(swept[2]), fingerprint(swept[3]));
 }
 
 TEST(Sweep, RejectsOneBadConfigAndRunsTheRest)

@@ -78,6 +78,75 @@ TEST(TraceBuffer, ClearKeepsEnableState)
     EXPECT_EQ(buf.size(), 1u);
 }
 
+TEST(TraceBuffer, SnapshotIsChronologicalBeforeAndAfterEachWrap)
+{
+    TraceBuffer buf(4);
+    buf.enable();
+    const auto ticks = [&buf] {
+        std::vector<Tick> out;
+        for (const TraceRecord &r : buf.snapshot())
+            out.push_back(r.tick);
+        return out;
+    };
+    for (Tick t = 1; t <= 3; ++t)
+        buf.emit(TraceEvent::KswapdWake, t, 0);
+    EXPECT_EQ(ticks(), (std::vector<Tick>{1, 2, 3}));
+    buf.emit(TraceEvent::KswapdWake, 4, 0);
+    EXPECT_EQ(ticks(), (std::vector<Tick>{1, 2, 3, 4}));
+    EXPECT_EQ(buf.dropped(), 0u);
+    buf.emit(TraceEvent::KswapdWake, 5, 0);
+    EXPECT_EQ(ticks(), (std::vector<Tick>{2, 3, 4, 5}));
+    // Wrap the write position itself past the end of the storage.
+    for (Tick t = 6; t <= 9; ++t)
+        buf.emit(TraceEvent::KswapdWake, t, 0);
+    EXPECT_EQ(ticks(), (std::vector<Tick>{6, 7, 8, 9}));
+    buf.emit(TraceEvent::KswapdWake, 10, 0);
+    EXPECT_EQ(ticks(), (std::vector<Tick>{7, 8, 9, 10}));
+    EXPECT_EQ(buf.size(), 4u);
+    EXPECT_EQ(buf.emitted(), 10u);
+    EXPECT_EQ(buf.dropped(), 6u);
+}
+
+TEST(TraceBuffer, ClearOnAPartlyFilledRingStartsOver)
+{
+    TraceBuffer buf(4);
+    buf.enable();
+    buf.emit(TraceEvent::KswapdWake, 1, 0);
+    buf.emit(TraceEvent::KswapdWake, 2, 0);
+    buf.clear();
+    EXPECT_EQ(buf.size(), 0u);
+    EXPECT_EQ(buf.emitted(), 0u);
+    EXPECT_TRUE(buf.snapshot().empty());
+    for (Tick t = 3; t <= 7; ++t)
+        buf.emit(TraceEvent::KswapdWake, t, 0);
+    const std::vector<TraceRecord> events = buf.snapshot();
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_EQ(events.front().tick, 4u);
+    EXPECT_EQ(events.back().tick, 7u);
+    EXPECT_EQ(buf.emitted(), 5u);
+    EXPECT_EQ(buf.dropped(), 1u);
+}
+
+TEST(TraceBuffer, SetCapacityWhileEnabledAfterAWrap)
+{
+    TraceBuffer buf(3);
+    buf.enable();
+    for (Tick t = 1; t <= 5; ++t)
+        buf.emit(TraceEvent::KswapdWake, t, 0);
+    buf.setCapacity(2);
+    EXPECT_TRUE(buf.enabled());
+    EXPECT_EQ(buf.capacity(), 2u);
+    EXPECT_EQ(buf.size(), 0u);
+    for (Tick t = 6; t <= 8; ++t)
+        buf.emit(TraceEvent::KswapdWake, t, 0);
+    const std::vector<TraceRecord> events = buf.snapshot();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].tick, 7u);
+    EXPECT_EQ(events[1].tick, 8u);
+    EXPECT_EQ(buf.emitted(), 3u);
+    EXPECT_EQ(buf.dropped(), 1u);
+}
+
 // ---------------------------------------------------------------------
 // Tracepoint payloads on the mm paths.
 

@@ -4,6 +4,10 @@
  * and the trace-replay workload.
  */
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/tpp_policy.hh"
 #include "test_common.hh"
 #include "workloads/profiles.hh"
@@ -13,6 +17,7 @@
 namespace tpp {
 namespace {
 
+using test::fnv1a;
 using test::TestMachine;
 
 WorkloadProfile
@@ -168,17 +173,6 @@ TEST(SyntheticWorkload, ObserverSeesEveryAccess)
 // and the latency totals pin the kernel's access path too.
 // ---------------------------------------------------------------------
 
-/** FNV-1a over the eight bytes of `word`. */
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (word >> (8 * i)) & 0xff;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 struct StreamGolden {
     const char *name;
     std::uint64_t hash; //!< FNV-1a over every observed (vpn, kind)
@@ -189,14 +183,16 @@ struct StreamGolden {
 };
 
 /**
- * Run `profile` for 100 batches of 50 operations on a TPP machine with
- * `wss_pages` / 4 local and `wss_pages` CXL pages, stepping the clock
- * 100 ms after each batch (10 simulated seconds), and check the stream
- * and batch totals against `golden`.
+ * Run `profile` on a TPP machine with `wss_pages` / 4 local and
+ * `wss_pages` CXL pages: at each tick of `ticks` (increasing), run the
+ * event queue up to that tick, then one batch of `ops` operations.
+ * Check the stream and batch totals against `golden`.
  */
 void
-expectStreamGolden(const WorkloadProfile &profile, std::uint64_t wss_pages,
-                   const StreamGolden &golden)
+expectStreamGoldenAt(const WorkloadProfile &profile,
+                     std::uint64_t wss_pages,
+                     const std::vector<Tick> &ticks, std::uint64_t ops,
+                     const StreamGolden &golden)
 {
     SCOPED_TRACE(golden.name);
     TestMachine m(wss_pages / 4, wss_pages, std::make_unique<TppPolicy>());
@@ -208,19 +204,31 @@ expectStreamGolden(const WorkloadProfile &profile, std::uint64_t wss_pages,
     });
     wl.init(m.kernel);
     BatchResult totals;
-    for (int batch = 0; batch < 100; ++batch) {
-        const BatchResult r = wl.runOps(m.kernel, 50);
+    for (const Tick tick : ticks) {
+        if (tick > m.eq.now())
+            m.eq.run(tick);
+        const BatchResult r = wl.runOps(m.kernel, ops);
         totals.ops += r.ops;
         totals.accesses += r.accesses;
         totals.durationNs += r.durationNs;
         totals.memLatencyNs += r.memLatencyNs;
-        m.eq.run(m.eq.now() + 100 * kMillisecond);
     }
     EXPECT_EQ(hash, golden.hash);
     EXPECT_EQ(totals.ops, golden.ops);
     EXPECT_EQ(totals.accesses, golden.accesses);
     EXPECT_EQ(totals.durationNs, golden.durationNs);
     EXPECT_EQ(totals.memLatencyNs, golden.memLatencyNs);
+}
+
+/** Run `profile` for 100 batches of 50 operations, one every 100 ms. */
+void
+expectStreamGolden(const WorkloadProfile &profile, std::uint64_t wss_pages,
+                   const StreamGolden &golden)
+{
+    std::vector<Tick> ticks;
+    for (Tick batch = 0; batch < 100; ++batch)
+        ticks.push_back(batch * 100 * kMillisecond);
+    expectStreamGoldenAt(profile, wss_pages, ticks, 50, golden);
 }
 
 TEST(AccessStreamGolden, NamedProfiles)
@@ -330,6 +338,75 @@ TEST(AccessStreamGolden, EveryBranchProfile)
     expectStreamGolden(everyBranchProfile(), 3072,
                        {"every-branch", 0xe3da628a529ba8e8ULL, 4900, 26052,
                         0x1.829dd4p+23, 0x1.b7074p+22});
+}
+
+/**
+ * The ticks one before, onto and one after every rotation step and
+ * phase edge of `profile` in (0, horizon]. Rotation steps are counted
+ * from tick 0, which is a region's creation tick until it churns.
+ */
+std::vector<Tick>
+edgeSchedule(const WorkloadProfile &profile, Tick horizon)
+{
+    std::vector<Tick> edges;
+    for (const RegionSpec &spec : profile.regions) {
+        if (spec.rotationPeriod != 0) {
+            for (Tick t = spec.rotationPeriod; t <= horizon;
+                 t += spec.rotationPeriod)
+                edges.push_back(t);
+        }
+        if (spec.phasePeriod == 0)
+            continue;
+        // On while (t + offset) % period < duty * period.
+        const Tick shift = spec.phaseOffset % spec.phasePeriod;
+        const Tick on = static_cast<Tick>(std::ceil(
+            spec.phaseDuty * static_cast<double>(spec.phasePeriod)));
+        for (Tick cycle = 0; cycle <= horizon + shift;
+             cycle += spec.phasePeriod) {
+            for (const Tick edge : {cycle, cycle + on}) {
+                if (edge > shift && edge - shift <= horizon)
+                    edges.push_back(edge - shift);
+            }
+        }
+    }
+    std::vector<Tick> ticks;
+    for (const Tick edge : edges) {
+        ticks.push_back(edge - 1);
+        ticks.push_back(edge);
+        ticks.push_back(edge + 1);
+    }
+    std::sort(ticks.begin(), ticks.end());
+    ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
+    return ticks;
+}
+
+TEST(AccessStreamGolden, StepsAcrossRotationAndPhaseEdges)
+{
+    // Batches land one tick before, onto and one after each edge, so a
+    // cached geometry or weight table kept one tick too long shows
+    // here. Odd phase periods and duties put the on/off threshold
+    // between two ticks.
+    WorkloadProfile p = everyBranchProfile();
+    p.regions[0].phaseDuty = 0.45;
+    p.regions[2].phasePeriod = kSecond + 7;
+    p.regions[2].phaseDuty = 0.3;
+    expectStreamGoldenAt(p, 3072, edgeSchedule(p, 4 * kSecond), 20,
+                         {"every-branch edges", 0x3acf9e5e870d00b6ULL, 3320,
+                          16192, 0x1.a7dd88p+22, 0x1.cc4d3p+21});
+    // Nothing grows here, so between rotation steps only a churn can
+    // make the geometry stale; the odd churn period lands it off-edge.
+    WorkloadProfile still = p;
+    still.regions[0].growthPagesPerSec = 0.0;
+    still.regions[3].growthPagesPerSec = 0.0;
+    still.regions[1].churnPeriod = 1500 * kMillisecond + 3;
+    expectStreamGoldenAt(still, 3072, edgeSchedule(still, 4 * kSecond), 20,
+                         {"churn off-edge", 0x88e18d8a74778509ULL, 3320,
+                          16192, 0x1.825b8p+22, 0x1.bf431p+21});
+    const WorkloadProfile phased = profiles::byName("phased", 4096);
+    expectStreamGoldenAt(phased, 4096, edgeSchedule(phased, 7 * kSecond),
+                         20,
+                         {"phased edges", 0x4920f6c9be71ce3dULL, 1640, 25118,
+                          0x1.1b35248000002p+26, 0x1.1633e48000002p+26});
 }
 
 TEST(Profiles, AllFourBuildAndSumNearWss)
