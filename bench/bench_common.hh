@@ -90,7 +90,7 @@ struct BenchOptions {
     std::vector<std::pair<std::string, std::string>> sysctls;
     /** Open-loop traffic (--qps/--arrival/--slo); qps 0 = closed. */
     OpenLoopSpec openLoop;
-    /** Shard workers (--shards); 1 = legacy single-stack engine. */
+    /** Shard workers (--shards); 1 = one region, no epoch lockstep. */
     std::uint32_t shards = 1;
     /** Region decomposition (--shard-regions); 0 = match shards. */
     std::uint32_t shardRegions = 0;

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <unordered_map>
 
 #include "harness/shard.hh"
 #include "harness/sweep.hh"
+#include "harness/thread_pool.hh"
 #include "hotness/hotness_policy.hh"
 #include "policy/adaptive/adaptive_policy.hh"
 #include "mem/node.hh"
@@ -352,40 +356,41 @@ ExperimentConfig::validate() const
             !r) {
             return r;
         }
+        if (tenant.wssPages == 0 && wssPages / tenants.size() == 0) {
+            return specError("tenant without wss= gets an equal share of "
+                             "wssPages, and that share is zero pages",
+                             tenant.workload);
+        }
         explicit_wss += tenant.wssPages;
     }
     if (!tenants.empty() && explicit_wss > wssPages) {
         return specError("tenant wss sum exceeds the config's wssPages",
                          std::to_string(explicit_wss));
     }
+    if (!tenants.empty() && withChameleon) {
+        return specError("config tenants and the Chameleon profiler are "
+                         "mutually exclusive (the profiler observes one "
+                         "workload)",
+                         runName(*this));
+    }
     return {};
 }
 
-namespace {
-
-/** Tail-latency summary of one finished open-loop driver. */
-OpenLoopResult
-harvestOpenLoop(const WorkloadDriver &driver, const OpenLoopSpec &spec)
+std::string
+runName(const ExperimentConfig &cfg)
 {
-    OpenLoopResult ol;
-    ol.enabled = true;
-    ol.offeredQps = spec.qps;
-    ol.arrival = spec.arrival;
-    const LatencyHistogram &hist = driver.requestLatency();
-    ol.requests = hist.count();
-    ol.dropped = driver.windowDropped();
-    ol.p50Ns = hist.percentileNs(50.0);
-    ol.p99Ns = hist.percentileNs(99.0);
-    ol.p999Ns = hist.percentileNs(99.9);
-    ol.maxNs = hist.maxNs();
-    ol.meanNs = hist.mean();
-    ol.meanQueueDepth = driver.meanQueueDepth();
-    ol.maxQueueDepth = driver.maxQueueDepth();
-    ol.goodputQps = driver.goodputQps();
-    ol.sloP99Us = spec.sloP99Us;
-    ol.sloAttainment = driver.sloAttainment();
-    return ol;
+    if (cfg.tenants.empty())
+        return cfg.workload;
+    std::string name;
+    for (const TenantSpec &tenant : cfg.tenants) {
+        if (!name.empty())
+            name += '+';
+        name += tenant.workload;
+    }
+    return name;
 }
+
+namespace {
 
 /** Arrival seed decorrelated from the workload's access-pattern seed. */
 std::uint64_t
@@ -429,29 +434,6 @@ localShareOf(const WorkloadDriver &driver, const MemorySystem &mem)
     for (NodeId nid : mem.tiers().toptierNodes())
         share += driver.trafficShare(nid);
     return share;
-}
-
-/**
- * End-of-run residency split for one page type: toptier-resident pages
- * over pages resident on *any* node. Both sums walk every node, so a
- * second socket neither drops out of the numerator nor the denominator.
- */
-double
-localResidencyOf(const Kernel &kernel, const MemorySystem &mem,
-                 PageType type)
-{
-    std::uint64_t on_local = 0;
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < mem.numNodes(); ++i) {
-        const NodeId nid = static_cast<NodeId>(i);
-        const std::uint64_t resident = kernel.residentPages(nid, type);
-        total += resident;
-        if (mem.tiers().isToptier(nid))
-            on_local += resident;
-    }
-    return total ? static_cast<double>(on_local) /
-                       static_cast<double>(total)
-                 : 0.0;
 }
 
 /**
@@ -540,327 +522,672 @@ makeAdaptiveSloFeed(EventQueue &eq, Kernel &kernel,
                                              run_until);
 }
 
+/** One tenant of a region, as planned from the config. */
+struct TenantPlan {
+    /** What the tenant runs; wssPages is already resolved. */
+    TenantSpec spec;
+    /** Workload seed; the arrival process draws from arrivalSeed(seed). */
+    std::uint64_t seed = 0;
+    /** An explicit tenant gets its own cgroup and result row; the
+     *  implicit tenant of a single-workload run stays in the root
+     *  cgroup and only feeds the headline. */
+    bool explicitTenant = false;
+};
+
 /**
- * The multi-tenant variant of runExperiment: one workload per tenant,
- * each process attached to its own memory cgroup, all sharing one
- * kernel and one event queue. Kept separate so the single-workload
- * path stays textually untouched (and provably bit-identical).
+ * The tenants of every region a config runs. Explicit tenants share one
+ * region, each an equal share of wssPages unless it says wss=. Without
+ * them each of the effectiveShardRegions() regions runs one implicit
+ * tenant on an equal slice of the working set (remainder pages go to
+ * the lowest regions) with a decorrelated seed; one region is the
+ * plain single-workload run.
  */
-ExperimentResult
-runTenantExperiment(const ExperimentConfig &cfg)
+std::vector<std::vector<TenantPlan>>
+planRegions(const ExperimentConfig &cfg)
 {
-    if (cfg.withChameleon)
-        tpp_fatal("tenants and the Chameleon profiler are mutually "
-                  "exclusive (the profiler assumes one workload)");
-
-    // Resolve tenant working sets: explicit pages, or an equal share of
-    // the config's total.
-    std::vector<std::uint64_t> wss;
-    std::uint64_t total_wss = 0;
-    for (const TenantSpec &tenant : cfg.tenants) {
-        const std::uint64_t pages =
-            tenant.wssPages ? tenant.wssPages
-                            : cfg.wssPages / cfg.tenants.size();
-        if (pages == 0)
-            tpp_fatal("tenant '%s' resolves to a zero-page working set",
-                      tenant.workload.c_str());
-        wss.push_back(pages);
-        total_wss += pages;
+    std::vector<std::vector<TenantPlan>> plans;
+    if (!cfg.tenants.empty()) {
+        std::vector<TenantPlan> &plan = plans.emplace_back();
+        for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
+            TenantPlan tenant{cfg.tenants[i], cfg.seed + i, true};
+            if (!tenant.spec.wssPages)
+                tenant.spec.wssPages = cfg.wssPages / cfg.tenants.size();
+            plan.push_back(std::move(tenant));
+        }
+        return plans;
     }
+    const std::uint32_t regions = cfg.effectiveShardRegions();
+    for (std::uint32_t r = 0; r < regions; ++r) {
+        TenantSpec spec;
+        spec.workload = cfg.workload;
+        spec.wssPages = cfg.wssPages / regions +
+                        (r < cfg.wssPages % regions ? 1 : 0);
+        spec.openLoop = cfg.openLoop;
+        plans.push_back(
+            {{std::move(spec), cfg.seed + r * 0x9e3779b97f4a7c15ULL, false}});
+    }
+    return plans;
+}
 
-    const std::uint64_t total_pages = static_cast<std::uint64_t>(
-        static_cast<double>(total_wss) * cfg.capacityHeadroom);
-    const MemoryConfig mem_cfg = machineConfig(cfg, total_pages);
+/** Machine frames for a region: its tenants' working sets plus headroom. */
+std::uint64_t
+regionPages(const ExperimentConfig &cfg, const std::vector<TenantPlan> &plan)
+{
+    std::uint64_t wss = 0;
+    for (const TenantPlan &tenant : plan)
+        wss += tenant.spec.wssPages;
+    return static_cast<std::uint64_t>(static_cast<double>(wss) *
+                                      cfg.capacityHeadroom);
+}
 
+/** A planned tenant's running workload and driver. */
+struct Tenant {
+    TenantPlan plan;
+    CgroupId cgroup = kRootCgroup;
+    std::unique_ptr<Workload> workload;
+    std::unique_ptr<WorkloadDriver> driver;
+};
+
+/**
+ * One region stack: an event queue, a machine and a kernel, its
+ * tenants' workloads and drivers, and the observers that watch them.
+ * Regions share nothing, so several can step side by side between
+ * epoch barriers. Members die in reverse order, so every driver and
+ * workload is gone before the kernel it ran on.
+ */
+struct Region {
     EventQueue eq;
-    MemorySystem mem(mem_cfg);
-    Kernel kernel(mem, eq, makePolicy(cfg), MmCosts{}, cfg.migration);
-
-    if (cfg.traceEnabled) {
-        kernel.trace().setCapacity(
-            static_cast<std::size_t>(cfg.traceCapacity));
-        kernel.trace().enable();
-    }
+    MemorySystem mem;
+    Kernel kernel;
     std::unique_ptr<TimeSeriesSampler> sampler;
-    if (cfg.sampleSeries) {
-        const Tick period =
-            cfg.samplePeriod ? cfg.samplePeriod : cfg.sampleEvery;
-        sampler = std::make_unique<TimeSeriesSampler>(kernel, period,
-                                                      cfg.runUntil);
-        sampler->start();
-    }
+    std::unique_ptr<Chameleon> chameleon;
+    /** Window access count per (asid << 48 | vpn), cfg.measureHotness. */
+    std::unordered_map<std::uint64_t, std::uint64_t> trueCounts;
+    std::vector<Tenant> tenants;
+    std::unique_ptr<AdaptiveSloFeed> sloFeed;
 
-    // Cgroups exist before cfg.sysctls are applied, so a config can
-    // also address the per-cgroup memcg.<name>.* knobs directly.
-    MemcgController &memcg = kernel.memcg();
-    std::vector<CgroupId> cgids;
-    std::vector<std::string> names;
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        const TenantSpec &tenant = cfg.tenants[i];
-        names.push_back("t" + std::to_string(i) + "-" + tenant.workload);
-        const CgroupId id = memcg.create(names.back());
-        MemCgroup &cg = memcg.cgroup(id);
-        cg.low = static_cast<std::uint64_t>(
-            static_cast<double>(wss[i]) * tenant.lowFraction);
-        if (tenant.placement == "local_only")
-            cg.placement = MemcgPlacement::LocalOnly;
-        else if (tenant.placement == "cxl_only")
-            cg.placement = MemcgPlacement::CxlOnly;
-        else if (tenant.placement != "none")
-            tpp_fatal("tenant '%s': bad placement '%s'",
-                      tenant.workload.c_str(), tenant.placement.c_str());
-        memcg.setMigrationBudget(id, tenant.budgetMBps);
-        cg.sloP99Us = tenant.openLoop.sloP99Us;
-        cgids.push_back(id);
-    }
-
-    for (const auto &[name, value] : cfg.sysctls) {
-        if (!kernel.sysctl().set(name, value))
-            tpp_fatal("sysctl %s=%s rejected", name.c_str(),
-                      value.c_str());
-    }
-
-    // Workload-side observers, shared by every tenant's workload.
-    std::vector<AccessObserver> observers;
-    if (auto *hotness = dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
-        if (AccessObserver observer = hotness->accessObserver())
-            observers.push_back(std::move(observer));
-    }
-    std::unordered_map<std::uint64_t, std::uint64_t> true_counts;
-    if (cfg.measureHotness) {
-        observers.push_back([&true_counts, &cfg](const AccessRecord &r) {
-            if (r.tick < cfg.measureFrom)
-                return;
-            true_counts[(static_cast<std::uint64_t>(r.asid) << 48) |
-                        r.vpn]++;
-        });
-    }
-
-    DriverConfig driver_cfg;
-    driver_cfg.runUntil = cfg.runUntil;
-    driver_cfg.measureFrom = cfg.measureFrom;
-    driver_cfg.sampleEvery = cfg.sampleEvery;
-
-    std::vector<std::unique_ptr<Workload>> workloads;
-    std::vector<std::unique_ptr<WorkloadDriver>> drivers;
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        workloads.push_back(WorkloadRegistry::instance().make(WorkloadSpec{
-            cfg.tenants[i].workload, wss[i], cfg.seed + i}));
-        workloads.back()->setTaskNode(mem.tiers().toptierNodes().front());
-        if (observers.size() == 1) {
-            workloads.back()->setObserver(observers.front());
-        } else if (observers.size() > 1) {
-            workloads.back()->setObserver(
-                [observers](const AccessRecord &r) {
-                    for (const AccessObserver &observer : observers)
-                        observer(r);
-                });
-        }
-        // Each tenant drives its own (possibly open-loop) request
-        // stream; the arrival RNG is decorrelated per tenant.
-        DriverConfig tenant_cfg = driver_cfg;
-        tenant_cfg.openLoop = cfg.tenants[i].openLoop;
-        tenant_cfg.openLoopSeed = arrivalSeed(cfg.seed + i);
-        drivers.push_back(std::make_unique<WorkloadDriver>(
-            kernel, *workloads.back(), tenant_cfg));
-    }
-
-    // Live SLO feed for the adaptive tuner's tie-breaker objective.
-    std::vector<const WorkloadDriver *> open_loop_drivers;
-    for (const auto &driver : drivers)
-        if (driver->openLoop())
-            open_loop_drivers.push_back(driver.get());
-    const std::unique_ptr<AdaptiveSloFeed> slo_feed = makeAdaptiveSloFeed(
-        eq, kernel, std::move(open_loop_drivers), cfg.runUntil);
-
-    kernel.start();
-    // Each driver's init runs with the spawn cgroup pointed at its
-    // tenant, so the processes a workload creates land in the right
-    // cgroup without the workloads knowing cgroups exist.
-    for (std::size_t i = 0; i < drivers.size(); ++i) {
-        memcg.setSpawnCgroup(cgids[i]);
-        drivers[i]->start();
-    }
-    memcg.setSpawnCgroup(kRootCgroup);
-    eq.run(cfg.runUntil);
-
-    // Harvest: headline row first (aggregate over tenants).
-    ExperimentResult result;
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        if (i)
-            result.workload += '+';
-        result.workload += cfg.tenants[i].workload;
-    }
-    result.policy = cfg.policy;
-    double latency_weight = 0.0;
-    for (const auto &driver : drivers) {
-        result.throughput += driver->throughput();
-        const double ops = static_cast<double>(driver->measuredOps());
-        result.meanAccessLatencyNs +=
-            driver->meanAccessLatencyNs() * ops;
-        latency_weight += ops;
-    }
-    if (latency_weight > 0.0)
-        result.meanAccessLatencyNs /= latency_weight;
-    // Every driver sees the same kernel-global traffic window, so one
-    // driver's view is the machine's.
-    result.localTrafficShare = localShareOf(*drivers.front(), mem);
-    result.cxlTrafficShare = 1.0 - result.localTrafficShare;
-    result.samples = drivers.front()->samples();
-    result.vmstat = kernel.vmstat();
-    result.meminfo = collectMemInfo(kernel);
-    if (cfg.traceEnabled) {
-        result.trace = kernel.trace().snapshot();
-        result.traceEmitted = kernel.trace().emitted();
-        result.traceDropped = kernel.trace().dropped();
-    }
-    if (sampler)
-        result.series = sampler->takeSeries();
-    result.anonLocalResidency =
-        localResidencyOf(kernel, mem, PageType::Anon);
-    result.fileLocalResidency =
-        localResidencyOf(kernel, mem, PageType::File);
-    collectNodeRows(cfg, kernel, mem, *drivers.front(), &result);
-
-    // Per-tenant rows.
-    for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
-        TenantResult row;
-        row.name = names[i];
-        row.workload = cfg.tenants[i].workload;
-        row.throughput = drivers[i]->throughput();
-        row.meanAccessLatencyNs = drivers[i]->meanAccessLatencyNs();
-        if (drivers[i]->openLoop()) {
-            // Request accounting lands in memory.stat before the stats
-            // snapshot below, so the row and the sysctl surface agree.
-            memcg.noteRequests(cgids[i],
-                               drivers[i]->windowRequests() +
-                                   drivers[i]->windowDropped(),
-                               drivers[i]->windowSloMet());
-            row.openLoop =
-                harvestOpenLoop(*drivers[i], cfg.tenants[i].openLoop);
-        }
-        const MemCgroup &cg = memcg.cgroup(cgids[i]);
-        row.pagesTotal = cg.usage();
-        for (NodeId nid : mem.cpuNodes())
-            row.pagesLocal += cg.usageOnNode(nid);
-        row.localResidency =
-            row.pagesTotal ? static_cast<double>(row.pagesLocal) /
-                                 static_cast<double>(row.pagesTotal)
-                           : 0.0;
-        row.memcg = cg.stats;
-        result.tenants.push_back(std::move(row));
-    }
-
-    // Merged open-loop headline over every tenant that ran one.
+    /**
+     * Build the stack. Same-tick events fire in insertion order, so the
+     * order below is part of the results: telemetry, cgroups, sysctls,
+     * observers, workloads and drivers, then the SLO feed.
+     */
+    Region(const ExperimentConfig &cfg, std::vector<TenantPlan> plan)
+        : mem(machineConfig(cfg, regionPages(cfg, plan))),
+          kernel(mem, eq, makePolicy(cfg), MmCosts{}, cfg.migration)
     {
-        LatencyHistogram merged;
-        std::uint64_t met = 0;
-        std::uint64_t dropped = 0;
-        bool any = false;
-        bool same_slo = true;
-        double slo = -1.0;
-        for (std::size_t i = 0; i < drivers.size(); ++i) {
-            if (!drivers[i]->openLoop())
-                continue;
-            const OpenLoopSpec &spec = cfg.tenants[i].openLoop;
-            any = true;
-            merged.merge(drivers[i]->requestLatency());
-            met += drivers[i]->windowSloMet();
-            dropped += drivers[i]->windowDropped();
-            result.openLoop.offeredQps += spec.qps;
-            result.openLoop.goodputQps += drivers[i]->goodputQps();
-            result.openLoop.meanQueueDepth += drivers[i]->meanQueueDepth();
-            result.openLoop.maxQueueDepth =
-                std::max(result.openLoop.maxQueueDepth,
-                         drivers[i]->maxQueueDepth());
-            if (result.openLoop.arrival.empty())
-                result.openLoop.arrival = spec.arrival;
-            else if (result.openLoop.arrival != spec.arrival)
-                result.openLoop.arrival = "mixed";
-            if (slo < 0.0)
-                slo = spec.sloP99Us;
-            else if (slo != spec.sloP99Us)
-                same_slo = false;
+        // Telemetry attaches before anything is scheduled so the
+        // sampler's events always precede same-tick simulation events;
+        // both layers only observe, so results are bit-identical with
+        // them on or off (tests/test_trace.cc asserts this).
+        if (cfg.traceEnabled) {
+            kernel.trace().setCapacity(
+                static_cast<std::size_t>(cfg.traceCapacity));
+            kernel.trace().enable();
         }
-        if (any) {
-            result.openLoop.enabled = true;
-            result.openLoop.requests = merged.count();
-            result.openLoop.dropped = dropped;
-            result.openLoop.p50Ns = merged.percentileNs(50.0);
-            result.openLoop.p99Ns = merged.percentileNs(99.0);
-            result.openLoop.p999Ns = merged.percentileNs(99.9);
-            result.openLoop.maxNs = merged.maxNs();
-            result.openLoop.meanNs = merged.mean();
-            result.openLoop.sloP99Us = same_slo ? slo : 0.0;
-            const std::uint64_t offered = merged.count() + dropped;
-            result.openLoop.sloAttainment =
-                offered ? static_cast<double>(met) /
-                              static_cast<double>(offered)
-                        : 1.0;
+        if (cfg.sampleSeries) {
+            const Tick period =
+                cfg.samplePeriod ? cfg.samplePeriod : cfg.sampleEvery;
+            sampler = std::make_unique<TimeSeriesSampler>(kernel, period,
+                                                          cfg.runUntil);
+            sampler->start();
+        }
+
+        // Cgroups exist before cfg.sysctls are applied, so a config can
+        // also address the per-cgroup memcg.<name>.* knobs directly.
+        MemcgController &memcg = kernel.memcg();
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            Tenant &tenant = tenants.emplace_back();
+            tenant.plan = std::move(plan[i]);
+            if (!tenant.plan.explicitTenant)
+                continue;
+            const TenantSpec &spec = tenant.plan.spec;
+            tenant.cgroup =
+                memcg.create("t" + std::to_string(i) + "-" + spec.workload);
+            MemCgroup &cg = memcg.cgroup(tenant.cgroup);
+            cg.low = static_cast<std::uint64_t>(
+                static_cast<double>(spec.wssPages) * spec.lowFraction);
+            if (spec.placement == "local_only")
+                cg.placement = MemcgPlacement::LocalOnly;
+            else if (spec.placement == "cxl_only")
+                cg.placement = MemcgPlacement::CxlOnly;
+            memcg.setMigrationBudget(tenant.cgroup, spec.budgetMBps);
+            cg.sloP99Us = spec.openLoop.sloP99Us;
+        }
+
+        for (const auto &[name, value] : cfg.sysctls) {
+            if (!kernel.sysctl().set(name, value))
+                tpp_fatal("sysctl %s=%s rejected", name.c_str(),
+                          value.c_str());
+        }
+
+        // Workload-side observers. Up to three consumers may want the
+        // access stream (the optional Chameleon profiler, a hotness
+        // source modelling a user-space profiler, and the hot-set
+        // ground truth); the single observer slot gets a fan-out lambda
+        // only when more than one is live, so the common
+        // single-consumer path stays flat.
+        std::vector<AccessObserver> observers;
+        if (cfg.withChameleon) {
+            chameleon = std::make_unique<Chameleon>(kernel, cfg.chameleon);
+            observers.push_back(chameleon->observer());
+        }
+        if (auto *hotness =
+                dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
+            if (AccessObserver observer = hotness->accessObserver())
+                observers.push_back(std::move(observer));
+        }
+        if (cfg.measureHotness) {
+            const Tick from = cfg.measureFrom;
+            observers.push_back([this, from](const AccessRecord &r) {
+                if (r.tick < from)
+                    return;
+                trueCounts[(static_cast<std::uint64_t>(r.asid) << 48) |
+                           r.vpn]++;
+            });
+        }
+        AccessObserver observer;
+        if (observers.size() == 1) {
+            observer = std::move(observers.front());
+        } else if (observers.size() > 1) {
+            observer = [observers](const AccessRecord &r) {
+                for (const AccessObserver &each : observers)
+                    each(r);
+            };
+        }
+
+        DriverConfig driver_cfg;
+        driver_cfg.runUntil = cfg.runUntil;
+        driver_cfg.measureFrom = cfg.measureFrom;
+        driver_cfg.sampleEvery = cfg.sampleEvery;
+        std::vector<const WorkloadDriver *> open_loop;
+        for (Tenant &tenant : tenants) {
+            const TenantSpec &spec = tenant.plan.spec;
+            tenant.workload = WorkloadRegistry::instance().make(
+                WorkloadSpec{spec.workload, spec.wssPages, tenant.plan.seed});
+            tenant.workload->setTaskNode(mem.tiers().toptierNodes().front());
+            if (observer)
+                tenant.workload->setObserver(observer);
+            driver_cfg.openLoop = spec.openLoop;
+            driver_cfg.openLoopSeed = arrivalSeed(tenant.plan.seed);
+            tenant.driver = std::make_unique<WorkloadDriver>(
+                kernel, *tenant.workload, driver_cfg);
+            if (tenant.driver->openLoop())
+                open_loop.push_back(tenant.driver.get());
+        }
+
+        // Live SLO feed for the adaptive tuner's tie-breaker objective.
+        sloFeed = makeAdaptiveSloFeed(eq, kernel, std::move(open_loop),
+                                      cfg.runUntil);
+    }
+
+    /** Start the kernel daemons, the profiler, then every driver. */
+    void
+    start()
+    {
+        kernel.start();
+        if (chameleon)
+            chameleon->start();
+        // Each driver's init runs with the spawn cgroup pointed at its
+        // tenant, so the processes a workload creates land in the right
+        // cgroup without the workloads knowing cgroups exist.
+        for (Tenant &tenant : tenants) {
+            kernel.memcg().setSpawnCgroup(tenant.cgroup);
+            tenant.driver->start();
+        }
+        kernel.memcg().setSpawnCgroup(kRootCgroup);
+    }
+
+    /** Migration attempts so far (admission-rebalance demand signal). */
+    std::uint64_t
+    migrations() const
+    {
+        return kernel.vmstat().get(Vm::PgMigrateSuccess) +
+               kernel.vmstat().get(Vm::PgMigrateFail);
+    }
+};
+
+using Regions = std::vector<std::unique_ptr<Region>>;
+
+/** What the epoch synchroniser carries across barriers for one region. */
+struct EpochState {
+    /** migrations() at the last epoch barrier. */
+    std::uint64_t lastMigrations = 0;
+    /** Current slice of the machine-wide admission budget, MB/s. */
+    double budgetMBps = 0.0;
+};
+
+void
+setAdmissionBudget(Region &region, EpochState &state, double mbps)
+{
+    // %.17g round-trips a double exactly; %.9g used to shave the low
+    // mantissa bits here, so the budgets the kernels actually ran under
+    // no longer summed to the machine-wide limit.
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", mbps);
+    if (!region.kernel.sysctl().set("vm.migration_rate_limit_mbps", buf))
+        tpp_fatal("shard admission rebalance rejected (%s MB/s)", buf);
+    state.budgetMBps = mbps;
+}
+
+/**
+ * Serial, fixed-order epoch-boundary synchronisation: watermark
+ * pressure accounting and (when a machine-wide admission budget is
+ * configured) demand-weighted redistribution of that budget. Runs with
+ * every region quiescent, so it is deterministic regardless of how many
+ * workers ticked the regions.
+ */
+void
+epochSync(Regions &regions, std::vector<EpochState> &state,
+          double global_budget, ShardStats &stats)
+{
+    stats.epochs++;
+    bool any_low = false;
+    for (const auto &region : regions) {
+        const MemoryNode &local =
+            region->mem.node(region->mem.cpuNodes().front());
+        if (!local.aboveWatermark(local.watermarks().low)) {
+            stats.regionLowWatermarkEpochs++;
+            any_low = true;
+        }
+    }
+    if (any_low)
+        stats.pressureEpochs++;
+
+    if (global_budget <= 0.0)
+        return;
+
+    // Migration admission: split the machine-wide budget by each
+    // region's migration demand over the last epoch. A 10% floor of
+    // the equal share keeps a quiet region from being starved to zero
+    // the moment it wakes up; shardBudgetShares() guarantees the
+    // shares sum to exactly the machine-wide budget.
+    std::vector<double> demand(regions.size());
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        const std::uint64_t now = regions[r]->migrations();
+        demand[r] = static_cast<double>(now - state[r].lastMigrations);
+        state[r].lastMigrations = now;
+    }
+    const std::vector<double> shares =
+        shardBudgetShares(demand, global_budget);
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        stats.rebalancedMBps +=
+            std::abs(shares[r] - state[r].budgetMBps) / 2.0;
+        setAdmissionBudget(*regions[r], state[r], shares[r]);
+    }
+}
+
+/**
+ * Run every region to cfg.runUntil. One region runs its queue straight
+ * through. R > 1 regions advance in epoch lockstep (epoch =
+ * cfg.sampleEvery) on min(cfg.shards, R) workers, with the serial
+ * synchroniser between epochs. Stepping an isolated EventQueue in
+ * epochs is exactly equivalent to one long run, since events still
+ * fire in (tick, insertion) order, so neither the epoch length nor the
+ * worker count changes a region's own results.
+ *
+ * @return the epoch accounting; all zero for one region.
+ */
+ShardStats
+runRegions(const ExperimentConfig &cfg, Regions &regions)
+{
+    ShardStats stats;
+    if (regions.size() == 1) {
+        regions.front()->start();
+        regions.front()->eq.run(cfg.runUntil);
+        return stats;
+    }
+    stats.regions = static_cast<std::uint32_t>(regions.size());
+    stats.workers = std::min(cfg.shards, stats.regions);
+
+    // A configured migration rate limit is machine-wide: start every
+    // region on an equal slice; epochSync() rebalances it by demand.
+    const double global_budget = cfg.migration.rateLimitMBps;
+    std::vector<EpochState> state(regions.size());
+    if (global_budget > 0.0) {
+        for (std::size_t r = 0; r < regions.size(); ++r) {
+            setAdmissionBudget(*regions[r], state[r],
+                               global_budget /
+                                   static_cast<double>(stats.regions));
+        }
+    }
+    for (const auto &region : regions)
+        region->start();
+
+    std::unique_ptr<ThreadPool> pool;
+    if (stats.workers > 1)
+        pool = std::make_unique<ThreadPool>(stats.workers);
+    Tick now = 0;
+    while (now < cfg.runUntil) {
+        const Tick target = std::min(now + cfg.sampleEvery, cfg.runUntil);
+        if (pool) {
+            for (const auto &region : regions) {
+                Region *raw = region.get();
+                pool->submit([raw, target] { raw->eq.run(target); });
+            }
+            pool->wait();
+        } else {
+            for (const auto &region : regions)
+                region->eq.run(target);
+        }
+        now = target;
+        epochSync(regions, state, global_budget, stats);
+    }
+    return stats;
+}
+
+/** Sum per-region interval samples into one machine-wide series. */
+std::vector<IntervalSample>
+mergeSamples(const Regions &regions)
+{
+    std::size_t n = 0;
+    for (const auto &region : regions)
+        n = std::max(n, region->tenants.front().driver->samples().size());
+    std::vector<IntervalSample> merged(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        IntervalSample &out = merged[k];
+        double share_weight = 0.0;
+        for (const auto &region : regions) {
+            const auto &samples = region->tenants.front().driver->samples();
+            if (k >= samples.size())
+                continue;
+            const IntervalSample &s = samples[k];
+            out.tick = s.tick;
+            out.promotionRate += s.promotionRate;
+            out.demotionRate += s.demotionRate;
+            out.localAllocRate += s.localAllocRate;
+            out.localFree += s.localFree;
+            out.throughput += s.throughput;
+            out.queueDepth += s.queueDepth;
+            out.anonResident += s.anonResident;
+            out.fileResident += s.fileResident;
+            out.anonOnLocal += s.anonOnLocal;
+            out.fileOnLocal += s.fileOnLocal;
+            out.localShare += s.localShare * s.throughput;
+            share_weight += s.throughput;
+        }
+        out.localShare = share_weight > 0.0
+                             ? out.localShare / share_weight
+                             : 0.0;
+    }
+    return merged;
+}
+
+/**
+ * Tail-latency summary over the open-loop drivers of `tenants`, in
+ * order. Over one driver it is bit-for-bit that driver's own summary,
+ * read from its own histogram: only two or more build a merged one.
+ */
+OpenLoopResult
+mergeOpenLoop(const std::vector<const Tenant *> &tenants)
+{
+    OpenLoopResult ol;
+    if (tenants.empty())
+        return ol;
+    std::optional<LatencyHistogram> merged;
+    if (tenants.size() > 1)
+        merged.emplace();
+    std::uint64_t met = 0;
+    bool same_slo = true;
+    double slo = -1.0;
+    for (const Tenant *tenant : tenants) {
+        const WorkloadDriver &driver = *tenant->driver;
+        const OpenLoopSpec &spec = tenant->plan.spec.openLoop;
+        if (merged)
+            merged->merge(driver.requestLatency());
+        met += driver.windowSloMet();
+        ol.dropped += driver.windowDropped();
+        ol.offeredQps += spec.qps;
+        ol.goodputQps += driver.goodputQps();
+        ol.meanQueueDepth += driver.meanQueueDepth();
+        ol.maxQueueDepth = std::max(ol.maxQueueDepth, driver.maxQueueDepth());
+        if (ol.arrival.empty())
+            ol.arrival = spec.arrival;
+        else if (ol.arrival != spec.arrival)
+            ol.arrival = "mixed";
+        if (slo < 0.0)
+            slo = spec.sloP99Us;
+        else if (slo != spec.sloP99Us)
+            same_slo = false;
+    }
+    const LatencyHistogram &hist =
+        merged ? *merged : tenants.front()->driver->requestLatency();
+    ol.enabled = true;
+    ol.requests = hist.count();
+    ol.p50Ns = hist.percentileNs(50.0);
+    ol.p99Ns = hist.percentileNs(99.0);
+    ol.p999Ns = hist.percentileNs(99.9);
+    ol.maxNs = hist.maxNs();
+    ol.meanNs = hist.mean();
+    ol.sloP99Us = same_slo ? slo : 0.0;
+    const std::uint64_t offered = hist.count() + ol.dropped;
+    ol.sloAttainment = offered ? static_cast<double>(met) /
+                                     static_cast<double>(offered)
+                               : 1.0;
+    return ol;
+}
+
+/** Result row of an explicit tenant, with its memory.stat counters. */
+TenantResult
+tenantRow(Region &region, const Tenant &tenant)
+{
+    const WorkloadDriver &driver = *tenant.driver;
+    MemcgController &memcg = region.kernel.memcg();
+    const MemCgroup &cg = memcg.cgroup(tenant.cgroup);
+    TenantResult row;
+    row.name = cg.name();
+    row.workload = tenant.plan.spec.workload;
+    row.throughput = driver.throughput();
+    row.meanAccessLatencyNs = driver.meanAccessLatencyNs();
+    if (driver.openLoop()) {
+        // Request accounting lands in memory.stat before the stats
+        // snapshot below, so the row and the sysctl surface agree.
+        memcg.noteRequests(tenant.cgroup,
+                           driver.windowRequests() + driver.windowDropped(),
+                           driver.windowSloMet());
+        row.openLoop = mergeOpenLoop({&tenant});
+    }
+    row.pagesTotal = cg.usage();
+    for (NodeId nid : region.mem.cpuNodes())
+        row.pagesLocal += cg.usageOnNode(nid);
+    row.localResidency =
+        row.pagesTotal ? static_cast<double>(row.pagesLocal) /
+                             static_cast<double>(row.pagesTotal)
+                       : 0.0;
+    row.memcg = cg.stats;
+    return row;
+}
+
+/**
+ * Hot-set recall: each tenant's true hot set is its top pages by
+ * measured window access count, up to its capacity share of the
+ * toptier (local capacity * wss_i / total_wss pages; the whole tier for
+ * the implicit tenant). Recall is the fraction of them resident there
+ * at the end of the run; the headline pools every tenant's.
+ */
+void
+harvestHotSet(const Region &region, ExperimentResult &result)
+{
+    const MemorySystem &mem = region.mem;
+    std::uint64_t local_capacity = 0;
+    for (NodeId nid : mem.tiers().toptierNodes())
+        local_capacity += mem.node(nid).capacity();
+    std::uint64_t total_wss = 0;
+    for (const Tenant &tenant : region.tenants)
+        total_wss += tenant.plan.spec.wssPages;
+
+    using Entry = std::pair<std::uint64_t, std::uint64_t>;
+    std::vector<std::vector<Entry>> ranked(region.tenants.size());
+    if (ranked.size() == 1)
+        ranked.front().reserve(region.trueCounts.size());
+    for (const auto &[key, count] : region.trueCounts) {
+        const CgroupId cg = region.kernel.memcg().cgroupOf(
+            static_cast<Asid>(key >> 48));
+        for (std::size_t i = 0; i < region.tenants.size(); ++i) {
+            if (region.tenants[i].cgroup == cg) {
+                ranked[i].emplace_back(key, count);
+                break;
+            }
         }
     }
 
-    if (cfg.measureHotness) {
-        // Tenant hot sets: each tenant's top pages by measured access
-        // count, up to its *capacity share* of the local tier (a tenant
-        // is entitled to local_capacity * wss_i / total_wss pages).
-        std::uint64_t local_capacity = 0;
-        for (NodeId nid : mem.tiers().toptierNodes())
-            local_capacity += mem.node(nid).capacity();
-
-        using Entry = std::pair<std::uint64_t, std::uint64_t>;
-        std::vector<std::vector<Entry>> per_tenant(cfg.tenants.size());
-        std::unordered_map<CgroupId, std::size_t> by_cgid;
-        for (std::size_t i = 0; i < cgids.size(); ++i)
-            by_cgid[cgids[i]] = i;
-        for (const auto &[key, count] : true_counts) {
+    std::uint64_t considered_all = 0;
+    std::uint64_t resident_all = 0;
+    for (std::size_t i = 0; i < ranked.size(); ++i) {
+        const TenantPlan &plan = region.tenants[i].plan;
+        std::sort(ranked[i].begin(), ranked[i].end(),
+                  [](const Entry &a, const Entry &b) {
+                      return a.second != b.second ? a.second > b.second
+                                                  : a.first < b.first;
+                  });
+        const std::uint64_t share =
+            plan.explicitTenant
+                ? static_cast<std::uint64_t>(
+                      static_cast<double>(local_capacity) *
+                      static_cast<double>(plan.spec.wssPages) /
+                      static_cast<double>(total_wss))
+                : local_capacity;
+        if (ranked[i].size() > share)
+            ranked[i].resize(share);
+        std::uint64_t considered = 0;
+        std::uint64_t resident_local = 0;
+        for (const auto &[key, count] : ranked[i]) {
             const Asid asid = static_cast<Asid>(key >> 48);
-            const auto it = by_cgid.find(memcg.cgroupOf(asid));
-            if (it != by_cgid.end())
-                per_tenant[it->second].emplace_back(key, count);
+            const Vpn vpn = key & ((std::uint64_t{1} << 48) - 1);
+            const AddressSpace &as = region.kernel.addressSpace(asid);
+            if (vpn >= as.tableSize() || !as.pte(vpn).present())
+                continue;
+            considered++;
+            if (mem.tiers().isToptier(mem.frame(as.pte(vpn).pfn).nid))
+                resident_local++;
         }
-
-        std::uint64_t considered_all = 0;
-        std::uint64_t resident_all = 0;
-        for (std::size_t i = 0; i < per_tenant.size(); ++i) {
-            auto &ranked = per_tenant[i];
-            std::sort(ranked.begin(), ranked.end(),
-                      [](const Entry &a, const Entry &b) {
-                          return a.second != b.second
-                                     ? a.second > b.second
-                                     : a.first < b.first;
-                      });
-            const std::uint64_t share = static_cast<std::uint64_t>(
-                static_cast<double>(local_capacity) *
-                static_cast<double>(wss[i]) /
-                static_cast<double>(total_wss));
-            if (ranked.size() > share)
-                ranked.resize(share);
-            std::uint64_t considered = 0;
-            std::uint64_t resident_local = 0;
-            for (const auto &[key, count] : ranked) {
-                const Asid asid = static_cast<Asid>(key >> 48);
-                const Vpn vpn = key & ((std::uint64_t{1} << 48) - 1);
-                const AddressSpace &as = kernel.addressSpace(asid);
-                if (vpn >= as.tableSize() || !as.pte(vpn).present())
-                    continue;
-                considered++;
-                if (mem.tiers().isToptier(mem.frame(as.pte(vpn).pfn).nid))
-                    resident_local++;
-            }
+        if (plan.explicitTenant) {
             result.tenants[i].hotSetPages = considered;
             result.tenants[i].hotSetRecall =
                 considered ? static_cast<double>(resident_local) /
                                  static_cast<double>(considered)
                            : 0.0;
-            considered_all += considered;
-            resident_all += resident_local;
         }
-        result.hotSetPages = considered_all;
-        result.hotSetRecall =
-            considered_all ? static_cast<double>(resident_all) /
-                                 static_cast<double>(considered_all)
-                           : 0.0;
+        considered_all += considered;
+        resident_all += resident_local;
+    }
+    result.hotSetPages = considered_all;
+    result.hotSetRecall =
+        considered_all ? static_cast<double>(resident_all) /
+                             static_cast<double>(considered_all)
+                       : 0.0;
+}
+
+/**
+ * Fold regions x tenants, in order, into one result. A fold over one
+ * element returns that element's own value ((x * w) / w != x for about
+ * one double in eleven): the lone implicit tenant keeps its own mean
+ * latency, and one region keeps its own traffic share and samples.
+ * Explicit tenants always take the ops-weighted mean.
+ */
+ExperimentResult
+harvest(const ExperimentConfig &cfg, Regions &regions,
+        const ShardStats &shard)
+{
+    ExperimentResult result;
+    result.workload = runName(cfg);
+    result.policy = cfg.policy;
+    result.shard = shard;
+    double ops_total = 0.0;
+    double traffic_local = 0.0;
+    std::uint64_t on_local[kNumPageTypes] = {};
+    std::uint64_t resident[kNumPageTypes] = {};
+    std::vector<const Tenant *> open_loop;
+    for (const auto &region : regions) {
+        double region_ops = 0.0;
+        for (const Tenant &tenant : region->tenants) {
+            const WorkloadDriver &driver = *tenant.driver;
+            result.throughput += driver.throughput();
+            const double ops = static_cast<double>(driver.measuredOps());
+            result.meanAccessLatencyNs += driver.meanAccessLatencyNs() * ops;
+            region_ops += ops;
+            if (driver.openLoop())
+                open_loop.push_back(&tenant);
+            if (tenant.plan.explicitTenant)
+                result.tenants.push_back(tenantRow(*region, tenant));
+        }
+        ops_total += region_ops;
+        // Every tenant sees the same kernel-global traffic window, so
+        // one driver's view is the region's.
+        const WorkloadDriver &driver = *region->tenants.front().driver;
+        traffic_local += localShareOf(driver, region->mem) * region_ops;
+
+        const Kernel &kernel = region->kernel;
+        for (std::size_t i = 0; i < kNumVmCounters; ++i)
+            result.vmstat.inc(static_cast<Vm>(i),
+                              kernel.vmstat().get(static_cast<Vm>(i)));
+        MemInfo info = collectMemInfo(kernel);
+        result.meminfo.totalPages += info.totalPages;
+        result.meminfo.totalFree += info.totalFree;
+        result.meminfo.swapUsedSlots += info.swapUsedSlots;
+        result.meminfo.nodes.insert(result.meminfo.nodes.end(),
+                                    std::make_move_iterator(info.nodes.begin()),
+                                    std::make_move_iterator(info.nodes.end()));
+        // Walk every node: toptier pages feed the numerator, all
+        // resident pages the denominator, so no socket drops out.
+        for (std::size_t i = 0; i < region->mem.numNodes(); ++i) {
+            const NodeId nid = static_cast<NodeId>(i);
+            for (PageType type : {PageType::Anon, PageType::File}) {
+                const std::uint64_t pages = kernel.residentPages(nid, type);
+                resident[static_cast<int>(type)] += pages;
+                if (region->mem.tiers().isToptier(nid))
+                    on_local[static_cast<int>(type)] += pages;
+            }
+        }
+        collectNodeRows(cfg, kernel, region->mem, driver, &result);
+    }
+
+    Region &first = *regions.front();
+    const WorkloadDriver &lead = *first.tenants.front().driver;
+    if (regions.size() == 1 && cfg.tenants.empty())
+        result.meanAccessLatencyNs = lead.meanAccessLatencyNs();
+    else if (ops_total > 0.0)
+        result.meanAccessLatencyNs /= ops_total;
+    if (regions.size() == 1) {
+        result.localTrafficShare = localShareOf(lead, first.mem);
+        result.samples = lead.samples();
+    } else {
+        result.localTrafficShare =
+            ops_total > 0.0 ? traffic_local / ops_total : 0.0;
+        result.samples = mergeSamples(regions);
+    }
+    result.cxlTrafficShare = 1.0 - result.localTrafficShare;
+    const auto share = [](std::uint64_t part, std::uint64_t whole) {
+        return whole ? static_cast<double>(part) /
+                           static_cast<double>(whole)
+                     : 0.0;
+    };
+    result.anonLocalResidency =
+        share(on_local[static_cast<int>(PageType::Anon)],
+              resident[static_cast<int>(PageType::Anon)]);
+    result.fileLocalResidency =
+        share(on_local[static_cast<int>(PageType::File)],
+              resident[static_cast<int>(PageType::File)]);
+    result.openLoop = mergeOpenLoop(open_loop);
+
+    // validate() keeps tracing, the sampler, Chameleon and hot-set truth
+    // to one-region runs (merging them across regions needs a rule of
+    // its own), so they are read from that one region.
+    if (cfg.traceEnabled) {
+        result.trace = first.kernel.trace().snapshot();
+        result.traceEmitted = first.kernel.trace().emitted();
+        result.traceDropped = first.kernel.trace().dropped();
+    }
+    if (first.sampler)
+        result.series = first.sampler->takeSeries();
+    if (cfg.measureHotness)
+        harvestHotSet(first, result);
+    if (first.chameleon) {
+        result.chameleonIntervals = first.chameleon->intervals();
+        result.chameleonHotFraction = first.chameleon->meanHotFraction();
+        result.chameleonHotFractionAnon =
+            first.chameleon->meanHotFraction(PageType::Anon);
+        result.chameleonHotFractionFile =
+            first.chameleon->meanHotFraction(PageType::File);
     }
     return result;
 }
@@ -872,174 +1199,11 @@ runExperiment(const ExperimentConfig &cfg)
 {
     if (const SpecResult<void> valid = cfg.validate(); !valid)
         tpp_fatal("%s", valid.error().render().c_str());
-    if (cfg.effectiveShardRegions() > 1)
-        return runShardedExperiment(cfg);
-    if (!cfg.tenants.empty())
-        return runTenantExperiment(cfg);
-
-    // Build the machine.
-    const std::uint64_t total_pages = static_cast<std::uint64_t>(
-        static_cast<double>(cfg.wssPages) * cfg.capacityHeadroom);
-    const MemoryConfig mem_cfg = machineConfig(cfg, total_pages);
-
-    EventQueue eq;
-    MemorySystem mem(mem_cfg);
-    Kernel kernel(mem, eq, makePolicy(cfg), MmCosts{}, cfg.migration);
-
-    // Telemetry attaches before anything is scheduled so the sampler's
-    // events always precede same-tick simulation events; both layers
-    // only observe, so results are bit-identical with them on or off
-    // (tests/test_trace.cc asserts this).
-    if (cfg.traceEnabled) {
-        kernel.trace().setCapacity(
-            static_cast<std::size_t>(cfg.traceCapacity));
-        kernel.trace().enable();
-    }
-    std::unique_ptr<TimeSeriesSampler> sampler;
-    if (cfg.sampleSeries) {
-        const Tick period =
-            cfg.samplePeriod ? cfg.samplePeriod : cfg.sampleEvery;
-        sampler = std::make_unique<TimeSeriesSampler>(kernel, period,
-                                                      cfg.runUntil);
-        sampler->start();
-    }
-
-    // Admin surface: apply requested sysctls before anything runs.
-    for (const auto &[name, value] : cfg.sysctls) {
-        if (!kernel.sysctl().set(name, value))
-            tpp_fatal("sysctl %s=%s rejected", name.c_str(),
-                      value.c_str());
-    }
-
-    // Build the workload by registered name.
-    std::unique_ptr<Workload> workload = WorkloadRegistry::instance().make(
-        WorkloadSpec{cfg.workload, cfg.wssPages, cfg.seed});
-    workload->setTaskNode(mem.tiers().toptierNodes().front());
-
-    // Workload-side observers. Up to three consumers may want the
-    // access stream (the optional Chameleon profiler, a hotness source
-    // modelling a user-space profiler, and the hot-set ground truth);
-    // the single observer slot gets a fan-out lambda only when more
-    // than one is live, so the common single-consumer path stays flat.
-    std::vector<AccessObserver> observers;
-    std::unique_ptr<Chameleon> chameleon;
-    if (cfg.withChameleon) {
-        chameleon = std::make_unique<Chameleon>(kernel, cfg.chameleon);
-        observers.push_back(chameleon->observer());
-    }
-    if (auto *hotness = dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
-        if (AccessObserver observer = hotness->accessObserver())
-            observers.push_back(std::move(observer));
-    }
-    std::unordered_map<std::uint64_t, std::uint64_t> true_counts;
-    if (cfg.measureHotness) {
-        observers.push_back([&true_counts, &cfg](const AccessRecord &r) {
-            if (r.tick < cfg.measureFrom)
-                return;
-            true_counts[(static_cast<std::uint64_t>(r.asid) << 48) |
-                        r.vpn]++;
-        });
-    }
-    if (observers.size() == 1) {
-        workload->setObserver(observers.front());
-    } else if (observers.size() > 1) {
-        workload->setObserver([observers](const AccessRecord &r) {
-            for (const AccessObserver &observer : observers)
-                observer(r);
-        });
-    }
-
-    DriverConfig driver_cfg;
-    driver_cfg.runUntil = cfg.runUntil;
-    driver_cfg.measureFrom = cfg.measureFrom;
-    driver_cfg.sampleEvery = cfg.sampleEvery;
-    driver_cfg.openLoop = cfg.openLoop;
-    driver_cfg.openLoopSeed = arrivalSeed(cfg.seed);
-    WorkloadDriver driver(kernel, *workload, driver_cfg);
-
-    // Live SLO feed for the adaptive tuner's tie-breaker objective.
-    const std::unique_ptr<AdaptiveSloFeed> slo_feed =
-        driver.openLoop()
-            ? makeAdaptiveSloFeed(eq, kernel, {&driver}, cfg.runUntil)
-            : nullptr;
-
-    kernel.start();
-    if (chameleon)
-        chameleon->start();
-    driver.runToCompletion();
-
-    // Harvest results.
-    ExperimentResult result;
-    result.workload = cfg.workload;
-    result.policy = cfg.policy;
-    result.throughput = driver.throughput();
-    result.meanAccessLatencyNs = driver.meanAccessLatencyNs();
-    result.localTrafficShare = localShareOf(driver, mem);
-    result.cxlTrafficShare = 1.0 - result.localTrafficShare;
-    result.samples = driver.samples();
-    result.vmstat = kernel.vmstat();
-    result.meminfo = collectMemInfo(kernel);
-    if (driver.openLoop())
-        result.openLoop = harvestOpenLoop(driver, cfg.openLoop);
-    if (cfg.traceEnabled) {
-        result.trace = kernel.trace().snapshot();
-        result.traceEmitted = kernel.trace().emitted();
-        result.traceDropped = kernel.trace().dropped();
-    }
-    if (sampler)
-        result.series = sampler->takeSeries();
-
-    // Residency split at end of run.
-    result.anonLocalResidency =
-        localResidencyOf(kernel, mem, PageType::Anon);
-    result.fileLocalResidency =
-        localResidencyOf(kernel, mem, PageType::File);
-    collectNodeRows(cfg, kernel, mem, driver, &result);
-
-    if (cfg.measureHotness) {
-        // True hot set: the top pages by measured access count, as many
-        // as the local tier could hold. Recall = the fraction of them
-        // the policy actually got (or kept) local by the end.
-        std::uint64_t local_capacity = 0;
-        for (NodeId nid : mem.tiers().toptierNodes())
-            local_capacity += mem.node(nid).capacity();
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked(
-            true_counts.begin(), true_counts.end());
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.second != b.second ? a.second > b.second
-                                                  : a.first < b.first;
-                  });
-        if (ranked.size() > local_capacity)
-            ranked.resize(local_capacity);
-        std::uint64_t considered = 0;
-        std::uint64_t resident_local = 0;
-        for (const auto &[key, count] : ranked) {
-            const Asid asid = static_cast<Asid>(key >> 48);
-            const Vpn vpn = key & ((std::uint64_t{1} << 48) - 1);
-            const AddressSpace &as = kernel.addressSpace(asid);
-            if (vpn >= as.tableSize() || !as.pte(vpn).present())
-                continue;
-            considered++;
-            if (mem.tiers().isToptier(mem.frame(as.pte(vpn).pfn).nid))
-                resident_local++;
-        }
-        result.hotSetPages = considered;
-        result.hotSetRecall =
-            considered ? static_cast<double>(resident_local) /
-                             static_cast<double>(considered)
-                       : 0.0;
-    }
-
-    if (chameleon) {
-        result.chameleonIntervals = chameleon->intervals();
-        result.chameleonHotFraction = chameleon->meanHotFraction();
-        result.chameleonHotFractionAnon =
-            chameleon->meanHotFraction(PageType::Anon);
-        result.chameleonHotFractionFile =
-            chameleon->meanHotFraction(PageType::File);
-    }
-    return result;
+    Regions regions;
+    for (std::vector<TenantPlan> &plan : planRegions(cfg))
+        regions.push_back(std::make_unique<Region>(cfg, std::move(plan)));
+    const ShardStats shard = runRegions(cfg, regions);
+    return harvest(cfg, regions, shard);
 }
 
 double

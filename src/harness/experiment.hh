@@ -204,28 +204,30 @@ struct ExperimentConfig : PolicyParams {
     bool measureHotness = false;
     /**
      * Multi-tenant co-location: one workload per entry, each in its own
-     * memory cgroup (src/mm/memcg). Empty (the default) runs the
-     * single-workload path above, bit-identical to a build without
-     * cgroups. Tenant working sets default to equal shares of wssPages.
+     * memory cgroup (src/mm/memcg). Empty (the default) runs `workload`
+     * as the one implicit tenant, in the root cgroup with no cgroup
+     * created, bit-identical to a build without cgroups. Tenant working
+     * sets default to equal shares of wssPages.
      */
     std::vector<TenantSpec> tenants;
     /**
-     * Open-loop traffic for the single-workload path: requests arrive
-     * on the configured process at `qps` regardless of service latency,
-     * so queueing delay shows up in the tail instead of throttling the
+     * Open-loop traffic for the implicit tenant: requests arrive on the
+     * configured process at `qps` regardless of service latency, so
+     * queueing delay shows up in the tail instead of throttling the
      * offered load. Disabled (qps 0) keeps the closed-loop driver and
      * bit-identical results. Mutually exclusive with `tenants` — give
      * each tenant its own spec there instead.
      */
     OpenLoopSpec openLoop;
     /**
-     * Address-space sharding (harness/shard.hh): worker threads ticking
-     * shard regions in epoch lockstep. 1 (the default) keeps today's
-     * single-stack engine and bit-identical results. Because regions
-     * are fully isolated between epoch barriers, the thread count only
-     * changes *when* a region computes, never *what*: for a fixed
-     * region decomposition, every shard count produces identical
-     * results (tests/test_shard.cc pins this).
+     * Worker threads ticking the run's regions in epoch lockstep
+     * (see effectiveShardRegions()). A region is a vertical slice of
+     * the machine with its own clock, kernel and copy of the workload:
+     * it models one CPU slice, so R regions run R workload copies and
+     * throughput sums over them. Because regions are isolated between
+     * epoch barriers, the thread count only changes *when* a region
+     * computes, never *what*: for a fixed region count, every shard
+     * count produces identical results (tests/test_shard.cc pins this).
      */
     std::uint32_t shards = 1;
     /**
@@ -245,7 +247,9 @@ struct ExperimentConfig : PolicyParams {
     /**
      * Check the config before building a machine for it: capacity and
      * fraction ranges, measurement-window ordering, tenant working-set
-     * budgets, open-loop parameters and shard-region geometry.
+     * budgets and shares, open-loop parameters, shard-region geometry,
+     * and feature combinations the engine has no rule for (Chameleon
+     * with tenants; observers, tenants or a topology with shards).
      * runExperiment() fatals on a failed validation; SweepRunner
      * rejects just the offending config.
      */
@@ -253,9 +257,9 @@ struct ExperimentConfig : PolicyParams {
 };
 
 /**
- * Accounting of one sharded run (harness/shard.hh): region/worker
- * geometry plus what the epoch-boundary synchroniser observed and did.
- * All-zero (regions == 0) for unsharded runs.
+ * Accounting of a run's epoch lockstep: region/worker geometry plus
+ * what the epoch-boundary synchroniser observed and did. All-zero
+ * (regions == 0) for one-region runs, which step no epochs.
  */
 struct ShardStats {
     std::uint32_t regions = 0;  //!< address-space regions simulated
@@ -325,7 +329,7 @@ struct ExperimentResult {
     /** Open-loop tail-latency summary (cfg.openLoop / tenant qps);
      *  merged across tenants on the multi-tenant path. */
     OpenLoopResult openLoop;
-    /** Shard-engine accounting (zero for unsharded runs). */
+    /** Epoch-lockstep accounting (zero for one-region runs). */
     ShardStats shard;
     /**
      * Non-empty when the run was rejected without being simulated
@@ -361,7 +365,15 @@ SpecResult<MemoryConfig> parseTopology(const std::string &spec);
  */
 std::unique_ptr<PlacementPolicy> makePolicy(const ExperimentConfig &cfg);
 
-/** Run one experiment to completion. */
+/** @return the run's name: the workload, or the tenants' workloads
+ *  joined with '+'. */
+std::string runName(const ExperimentConfig &cfg);
+
+/**
+ * Run one experiment to completion: build one region stack per planned
+ * region (one unless the config shards), run them to cfg.runUntil and
+ * fold regions x tenants, in order, into one result.
+ */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
 
 /**

@@ -1,185 +1,8 @@
 #include "harness/shard.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
-#include <vector>
-
-#include "harness/thread_pool.hh"
-#include "hotness/hotness_policy.hh"
-#include "mem/node.hh"
-#include "mm/kernel.hh"
-#include "mm/meminfo.hh"
-#include "sim/logging.hh"
-#include "workloads/workload_registry.hh"
 
 namespace tpp {
-
-namespace {
-
-/** Same machine-build math as the unsharded path, on a region's wss. */
-MemoryConfig
-regionMemConfig(const ExperimentConfig &cfg, std::uint64_t wss)
-{
-    const std::uint64_t total_pages = static_cast<std::uint64_t>(
-        static_cast<double>(wss) * cfg.capacityHeadroom);
-    if (cfg.allLocal)
-        return TopologyBuilder::allLocal(total_pages);
-    const std::uint64_t local_pages = static_cast<std::uint64_t>(
-        static_cast<double>(total_pages) * cfg.localFraction);
-    return TopologyBuilder::cxlSystem(local_pages,
-                                      total_pages - local_pages);
-}
-
-/**
- * One shard region: a vertical slice of the machine with its own clock.
- * Nothing in here is touched by any other region between epoch
- * barriers; the epoch loop only ever calls eq.run() concurrently.
- */
-struct ShardRegion {
-    EventQueue eq;
-    MemorySystem mem;
-    Kernel kernel;
-    std::unique_ptr<Workload> workload;
-    std::unique_ptr<WorkloadDriver> driver;
-    /** PgMigrate{Success,Fail} at the last epoch barrier. */
-    std::uint64_t lastMigrations = 0;
-    /** Current slice of the machine-wide admission budget, MB/s. */
-    double budgetMBps = 0.0;
-
-    ShardRegion(const ExperimentConfig &cfg, std::uint64_t wss,
-                std::uint64_t seed)
-        : mem(regionMemConfig(cfg, wss)),
-          kernel(mem, eq, makePolicy(cfg), MmCosts{}, cfg.migration)
-    {
-        for (const auto &[name, value] : cfg.sysctls) {
-            if (!kernel.sysctl().set(name, value))
-                tpp_fatal("sysctl %s=%s rejected", name.c_str(),
-                          value.c_str());
-        }
-        workload = WorkloadRegistry::instance().make(
-            WorkloadSpec{cfg.workload, wss, seed});
-        workload->setTaskNode(mem.cpuNodes().front());
-        if (auto *hotness =
-                dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
-            if (AccessObserver observer = hotness->accessObserver())
-                workload->setObserver(std::move(observer));
-        }
-        DriverConfig driver_cfg;
-        driver_cfg.runUntil = cfg.runUntil;
-        driver_cfg.measureFrom = cfg.measureFrom;
-        driver_cfg.sampleEvery = cfg.sampleEvery;
-        driver = std::make_unique<WorkloadDriver>(kernel, *workload,
-                                                  driver_cfg);
-    }
-
-    /** Migration attempts so far (admission-rebalance demand signal). */
-    std::uint64_t
-    migrations() const
-    {
-        return kernel.vmstat().get(Vm::PgMigrateSuccess) +
-               kernel.vmstat().get(Vm::PgMigrateFail);
-    }
-
-    void
-    setAdmissionBudget(double mbps)
-    {
-        // %.17g round-trips a double exactly; %.9g used to shave the
-        // low mantissa bits here, so the budgets the kernels actually
-        // ran under no longer summed to the machine-wide limit.
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", mbps);
-        if (!kernel.sysctl().set("vm.migration_rate_limit_mbps", buf))
-            tpp_fatal("shard admission rebalance rejected (%s MB/s)", buf);
-        budgetMBps = mbps;
-    }
-};
-
-/**
- * Serial, fixed-order epoch-boundary synchronisation: watermark
- * pressure accounting and (when a machine-wide admission budget is
- * configured) demand-weighted redistribution of that budget. Runs with
- * every region quiescent, so it is deterministic regardless of how many
- * workers ticked the regions.
- */
-void
-epochSync(const std::vector<std::unique_ptr<ShardRegion>> &regions,
-          double global_budget, ShardStats &stats)
-{
-    stats.epochs++;
-    bool any_low = false;
-    for (const auto &region : regions) {
-        const MemoryNode &local =
-            region->mem.node(region->mem.cpuNodes().front());
-        if (!local.aboveWatermark(local.watermarks().low)) {
-            stats.regionLowWatermarkEpochs++;
-            any_low = true;
-        }
-    }
-    if (any_low)
-        stats.pressureEpochs++;
-
-    if (global_budget <= 0.0)
-        return;
-
-    // Migration admission: split the machine-wide budget by each
-    // region's migration demand over the last epoch. A 10% floor of
-    // the equal share keeps a quiet region from being starved to zero
-    // the moment it wakes up; shardBudgetShares() guarantees the
-    // shares sum to exactly the machine-wide budget.
-    std::vector<double> demand(regions.size());
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-        const std::uint64_t now = regions[r]->migrations();
-        demand[r] = static_cast<double>(now - regions[r]->lastMigrations);
-        regions[r]->lastMigrations = now;
-    }
-    const std::vector<double> shares =
-        shardBudgetShares(demand, global_budget);
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-        stats.rebalancedMBps +=
-            std::abs(shares[r] - regions[r]->budgetMBps) / 2.0;
-        regions[r]->setAdmissionBudget(shares[r]);
-    }
-}
-
-/** Sum per-region interval samples into one machine-wide series. */
-std::vector<IntervalSample>
-mergeSamples(const std::vector<std::unique_ptr<ShardRegion>> &regions)
-{
-    std::size_t n = 0;
-    for (const auto &region : regions)
-        n = std::max(n, region->driver->samples().size());
-    std::vector<IntervalSample> merged(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        IntervalSample &out = merged[k];
-        double share_weight = 0.0;
-        for (const auto &region : regions) {
-            const auto &samples = region->driver->samples();
-            if (k >= samples.size())
-                continue;
-            const IntervalSample &s = samples[k];
-            out.tick = s.tick;
-            out.promotionRate += s.promotionRate;
-            out.demotionRate += s.demotionRate;
-            out.localAllocRate += s.localAllocRate;
-            out.localFree += s.localFree;
-            out.throughput += s.throughput;
-            out.queueDepth += s.queueDepth;
-            out.anonResident += s.anonResident;
-            out.fileResident += s.fileResident;
-            out.anonOnLocal += s.anonOnLocal;
-            out.fileOnLocal += s.fileOnLocal;
-            out.localShare += s.localShare * s.throughput;
-            share_weight += s.throughput;
-        }
-        out.localShare = share_weight > 0.0
-                             ? out.localShare / share_weight
-                             : 0.0;
-    }
-    return merged;
-}
-
-} // namespace
 
 std::vector<double>
 shardBudgetShares(const std::vector<double> &demand, double global_budget)
@@ -216,148 +39,6 @@ shardBudgetShares(const std::vector<double> &demand, double global_budget)
     // never fires in practice — it only guards a pathological budget.
     shares[n - 1] = std::max(0.0, global_budget - handed_out);
     return shares;
-}
-
-ExperimentResult
-runShardedExperiment(const ExperimentConfig &cfg)
-{
-    const std::uint32_t region_count = cfg.effectiveShardRegions();
-    const std::uint32_t workers = std::min(cfg.shards, region_count);
-    if (region_count < 2)
-        tpp_fatal("runShardedExperiment called with %u region(s)",
-                  region_count);
-
-    // Build the region stacks. Region r owns an equal slice of the VPN
-    // space (remainder pages go to the lowest regions, so the split is
-    // deterministic) with a decorrelated workload seed.
-    std::vector<std::unique_ptr<ShardRegion>> regions;
-    regions.reserve(region_count);
-    for (std::uint32_t r = 0; r < region_count; ++r) {
-        const std::uint64_t wss =
-            cfg.wssPages / region_count +
-            (r < cfg.wssPages % region_count ? 1 : 0);
-        const std::uint64_t seed =
-            cfg.seed + r * 0x9e3779b97f4a7c15ULL;
-        regions.push_back(
-            std::make_unique<ShardRegion>(cfg, wss, seed));
-    }
-
-    ExperimentResult result;
-    result.shard.regions = region_count;
-    result.shard.workers = workers;
-
-    // A configured migration rate limit is machine-wide: start every
-    // region on an equal slice; epochSync() rebalances it by demand.
-    const double global_budget = cfg.migration.rateLimitMBps;
-    if (global_budget > 0.0) {
-        for (auto &region : regions) {
-            region->setAdmissionBudget(
-                global_budget / static_cast<double>(region_count));
-        }
-    }
-
-    for (auto &region : regions) {
-        region->kernel.start();
-        region->driver->start();
-    }
-
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 1)
-        pool = std::make_unique<ThreadPool>(workers);
-
-    // Epoch lockstep: every region advances to the same horizon, then
-    // the serial synchroniser runs over the quiescent machine. Stepping
-    // an isolated EventQueue in epochs is exactly equivalent to one
-    // long run — events still fire in (tick, insertion-order) order —
-    // so the epoch granularity never changes a region's own results.
-    const Tick epoch = cfg.sampleEvery;
-    Tick now = 0;
-    while (now < cfg.runUntil) {
-        const Tick target = std::min(now + epoch, cfg.runUntil);
-        if (pool) {
-            for (auto &region : regions) {
-                ShardRegion *raw = region.get();
-                pool->submit([raw, target] { raw->eq.run(target); });
-            }
-            pool->wait();
-        } else {
-            for (auto &region : regions)
-                region->eq.run(target);
-        }
-        now = target;
-        epochSync(regions, global_budget, result.shard);
-    }
-
-    // Harvest: identical fields to the unsharded path, aggregated over
-    // regions in fixed order.
-    result.workload = cfg.workload;
-    result.policy = cfg.policy;
-    double latency_weight = 0.0;
-    double traffic_weight = 0.0;
-    double traffic_local = 0.0;
-    for (const auto &region : regions) {
-        const WorkloadDriver &driver = *region->driver;
-        result.throughput += driver.throughput();
-        const double ops = static_cast<double>(driver.measuredOps());
-        result.meanAccessLatencyNs += driver.meanAccessLatencyNs() * ops;
-        latency_weight += ops;
-        // Sum every toptier node's share: a multi-socket region's
-        // socket-1 traffic is local too.
-        double local_share = 0.0;
-        for (NodeId nid : region->mem.tiers().toptierNodes())
-            local_share += driver.trafficShare(nid);
-        traffic_local += local_share * ops;
-        traffic_weight += ops;
-    }
-    if (latency_weight > 0.0)
-        result.meanAccessLatencyNs /= latency_weight;
-    result.localTrafficShare =
-        traffic_weight > 0.0 ? traffic_local / traffic_weight : 0.0;
-    result.cxlTrafficShare = 1.0 - result.localTrafficShare;
-    result.samples = mergeSamples(regions);
-
-    for (std::size_t i = 0; i < kNumVmCounters; ++i) {
-        for (const auto &region : regions) {
-            result.vmstat.inc(static_cast<Vm>(i),
-                              region->kernel.vmstat().get(
-                                  static_cast<Vm>(i)));
-        }
-    }
-    for (const auto &region : regions) {
-        const MemInfo info = collectMemInfo(region->kernel);
-        result.meminfo.totalPages += info.totalPages;
-        result.meminfo.totalFree += info.totalFree;
-        result.meminfo.swapUsedSlots += info.swapUsedSlots;
-        result.meminfo.nodes.insert(result.meminfo.nodes.end(),
-                                    info.nodes.begin(),
-                                    info.nodes.end());
-    }
-
-    for (PageType type : {PageType::Anon, PageType::File}) {
-        std::uint64_t on_local = 0;
-        std::uint64_t total = 0;
-        for (const auto &region : regions) {
-            // Walk every node: toptier pages feed the numerator, all
-            // resident pages the denominator, so no socket drops out.
-            for (std::size_t i = 0; i < region->mem.numNodes(); ++i) {
-                const NodeId nid = static_cast<NodeId>(i);
-                const std::uint64_t resident =
-                    region->kernel.residentPages(nid, type);
-                total += resident;
-                if (region->mem.tiers().isToptier(nid))
-                    on_local += resident;
-            }
-        }
-        const double share =
-            total ? static_cast<double>(on_local) /
-                        static_cast<double>(total)
-                  : 0.0;
-        if (type == PageType::Anon)
-            result.anonLocalResidency = share;
-        else
-            result.fileLocalResidency = share;
-    }
-    return result;
 }
 
 } // namespace tpp

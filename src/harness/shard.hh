@@ -1,23 +1,13 @@
 /**
  * @file
- * Sharded experiment engine: partition one run's VPN space into
- * `cfg.effectiveShardRegions()` regions, each with its own event queue,
- * memory system (LRU sets, free lists, scan state) and kernel, and tick
- * them in epoch lockstep — in parallel on a ThreadPool when
- * `cfg.shards > 1`, serially otherwise.
+ * Migration-admission budget split across shard regions.
  *
- * Regions share **nothing** between epoch barriers, so the worker
- * count only changes *when* a region computes, never *what*: for a
- * fixed region decomposition every shard count produces bit-identical
- * results (tests/test_shard.cc pins shards 1 vs 4). All cross-region
- * coordination happens serially, in fixed region order, at epoch
- * boundaries: watermark pressure checks, migration-admission budget
- * rebalancing (when cfg.migration.rateLimitMBps > 0, treated as a
- * machine-wide budget) and vmstat/meminfo aggregation.
- *
- * runExperiment() dispatches here when effectiveShardRegions() > 1; an
- * effective region count of 1 keeps the legacy single-stack engine and
- * its golden-fingerprint-pinned output.
+ * runExperiment() runs `cfg.effectiveShardRegions()` region stacks,
+ * each with its own event queue, memory system and kernel, in epoch
+ * lockstep. At every epoch barrier it redistributes a machine-wide
+ * migration rate limit (cfg.migration.rateLimitMBps > 0) across the
+ * regions with shardBudgetShares(), serially and in fixed region order,
+ * so the worker count never changes a result.
  */
 
 #ifndef TPP_HARNESS_SHARD_HH
@@ -25,15 +15,7 @@
 
 #include <vector>
 
-#include "harness/experiment.hh"
-
 namespace tpp {
-
-/**
- * Run `cfg` decomposed into shard regions. The config must have passed
- * validate() (runExperiment() checks before dispatching here).
- */
-ExperimentResult runShardedExperiment(const ExperimentConfig &cfg);
 
 /**
  * Demand-weighted split of the machine-wide migration-admission budget

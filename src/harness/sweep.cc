@@ -272,15 +272,7 @@ SweepRunner::runCached(const ExperimentConfig &cfg) const
     // taking down the other N-1 (runExperiment would fatal).
     if (const SpecResult<void> valid = cfg.validate(); !valid) {
         ExperimentResult rejected;
-        rejected.workload = cfg.workload;
-        if (!cfg.tenants.empty()) {
-            rejected.workload.clear();
-            for (const TenantSpec &tenant : cfg.tenants) {
-                if (!rejected.workload.empty())
-                    rejected.workload += '+';
-                rejected.workload += tenant.workload;
-            }
-        }
+        rejected.workload = runName(cfg);
         rejected.policy = cfg.policy;
         rejected.error = valid.error().render();
         std::fprintf(stderr, "sweep: rejected %s/%s: %s\n",

@@ -1,6 +1,7 @@
 /**
  * @file
- * Determinism anchors for the sharded experiment engine
+ * Determinism anchors for multi-region runs of the run engine
+ * (harness/experiment.cc) and its admission-budget split
  * (harness/shard.hh).
  *
  * The shard engine's core contract: the region decomposition
@@ -12,11 +13,9 @@
  * vmstat counter, traffic shares, residency, the merged sample series
  * and the epoch-synchroniser's own accounting).
  *
- * A second anchor pins the `--shards 1` escape hatch: an effective
- * region count of 1 must dispatch to the legacy single-stack engine and
- * reproduce a plain config's results exactly, so the golden
- * fingerprints in test_migration_compat.cc keep covering the default
- * path no matter what the shard engine does.
+ * A second anchor pins the one-region case: `shards = shardRegions =
+ * 1` is the same single region as a config that never set either, so
+ * it reproduces a plain config's results exactly and steps no epochs.
  */
 
 #include <gtest/gtest.h>
@@ -159,8 +158,8 @@ INSTANTIATE_TEST_SUITE_P(Golden, ShardDeterminism,
 
 TEST(ShardDispatch, OneRegionIsTheLegacyEngineBitForBit)
 {
-    // shards=1 (effective regions 1) must not even enter the shard
-    // engine: identical fields to a config that never heard of shards,
+    // shards=1 (effective regions 1) is one region stepped without
+    // epochs: identical fields to a config that never heard of shards,
     // and no shard accounting.
     ShardCase plain{"legacy", "tpp", 0.0};
     ExperimentConfig base = shardConfig(plain, 1, 0);

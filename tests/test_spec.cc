@@ -366,4 +366,41 @@ TEST(Spec, ShardsRejectIncompatibleObservers)
            "sampleSeries");
 }
 
+// ---------------------------------------------------------------------
+// Tenant configs that used to pass validate() and then fatal inside the
+// run: both are refused up front now, naming the bad token.
+// ---------------------------------------------------------------------
+
+TEST(Spec, TenantsRejectChameleon)
+{
+    ExperimentConfig cfg;
+    cfg.wssPages = 8192;
+    cfg.tenants = parseTenantsSpec("web;churn");
+    ASSERT_TRUE(bool(cfg.validate()));
+    cfg.withChameleon = true;
+    const SpecResult<void> valid = cfg.validate();
+    ASSERT_FALSE(bool(valid));
+    EXPECT_NE(valid.error().render().find("Chameleon"), std::string::npos)
+        << valid.error().render();
+    EXPECT_EQ(valid.error().token, "web+churn");
+}
+
+TEST(Spec, TenantsRejectZeroPageEqualShare)
+{
+    ExperimentConfig cfg;
+    cfg.wssPages = 3;
+    cfg.tenants = parseTenantsSpec("cache1:wss=1;web;dwh;churn");
+    const SpecResult<void> valid = cfg.validate();
+    ASSERT_FALSE(bool(valid));
+    EXPECT_NE(valid.error().render().find("zero pages"), std::string::npos)
+        << valid.error().render();
+    // The first tenant names its own wss; the second is the first whose
+    // equal share (3 / 4 pages) rounds to nothing.
+    EXPECT_EQ(valid.error().token, "web");
+
+    // Four pages split four ways is one page each: accepted.
+    cfg.wssPages = 4;
+    EXPECT_TRUE(bool(cfg.validate())) << cfg.validate().error().render();
+}
+
 } // namespace

@@ -464,6 +464,47 @@ TEST(Sweep, RejectsOneBadConfigAndRunsTheRest)
     EXPECT_EQ(results[1].throughput, 0.0);
 }
 
+TEST(Sweep, TenantsWithChameleonRejectOnlyThatConfig)
+{
+    // Regression: tenants with the Chameleon profiler passed validate()
+    // and then killed the whole process inside the tenant engine, so
+    // the valid config's result was lost with it.
+    ExperimentConfig good = smallConfig("web", "tpp", "2:1");
+    ExperimentConfig bad = good;
+    bad.tenants = parseTenantsSpec("web;churn");
+    bad.withChameleon = true;
+
+    const std::vector<ExperimentResult> results =
+        SweepRunner().run({good, bad});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_FALSE(results[0].failed()) << results[0].error;
+    EXPECT_GT(results[0].throughput, 0.0);
+    ASSERT_TRUE(results[1].failed());
+    EXPECT_EQ(results[1].workload, "web+churn");
+    EXPECT_NE(results[1].error.find("Chameleon"), std::string::npos)
+        << results[1].error;
+}
+
+TEST(Sweep, ZeroPageTenantShareRejectsOnlyThatConfig)
+{
+    // Regression: four tenants without wss= split three pages into
+    // zero-page shares; validate() passed and the run died building
+    // the first tenant's workload.
+    ExperimentConfig good = smallConfig("web", "tpp", "2:1");
+    ExperimentConfig bad = good;
+    bad.wssPages = 3;
+    bad.tenants = parseTenantsSpec("web;cache1;dwh;churn");
+
+    const std::vector<ExperimentResult> results =
+        SweepRunner().run({good, bad});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_FALSE(results[0].failed()) << results[0].error;
+    EXPECT_GT(results[0].throughput, 0.0);
+    ASSERT_TRUE(results[1].failed());
+    EXPECT_NE(results[1].error.find("zero pages"), std::string::npos)
+        << results[1].error;
+}
+
 TEST(Export, CsvQuotesHostileFields)
 {
     EXPECT_EQ(csvField("plain"), "plain");
