@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <iterator>
 #include <optional>
-#include <unordered_map>
 
 #include "harness/shard.hh"
 #include "harness/sweep.hh"
@@ -18,6 +17,7 @@
 #include "mm/kernel.hh"
 #include "mm/policy_registry.hh"
 #include "sim/logging.hh"
+#include "sim/page_slots.hh"
 #include "workloads/workload_registry.hh"
 
 namespace tpp {
@@ -601,8 +601,8 @@ struct Region {
     Kernel kernel;
     std::unique_ptr<TimeSeriesSampler> sampler;
     std::unique_ptr<Chameleon> chameleon;
-    /** Window access count per (asid << 48 | vpn), cfg.measureHotness. */
-    std::unordered_map<std::uint64_t, std::uint64_t> trueCounts;
+    /** Window access count per page, cfg.measureHotness. */
+    PageSlots<std::uint64_t> trueCounts;
     std::vector<Tenant> tenants;
     std::unique_ptr<AdaptiveSloFeed> sloFeed;
 
@@ -681,8 +681,7 @@ struct Region {
             observers.push_back([this, from](const AccessRecord &r) {
                 if (r.tick < from)
                     return;
-                trueCounts[(static_cast<std::uint64_t>(r.asid) << 48) |
-                           r.vpn]++;
+                trueCounts(r.asid, r.vpn)++;
             });
         }
         AccessObserver observer;
@@ -853,8 +852,9 @@ runRegions(const ExperimentConfig &cfg, Regions &regions)
     for (const auto &region : regions)
         region->start();
 
+    // A run that runs no epoch starts no worker.
     std::unique_ptr<ThreadPool> pool;
-    if (stats.workers > 1)
+    if (stats.workers > 1 && cfg.runUntil > 0)
         pool = std::make_unique<ThreadPool>(stats.workers);
     Tick now = 0;
     while (now < cfg.runUntil) {
@@ -1015,20 +1015,24 @@ harvestHotSet(const Region &region, ExperimentResult &result)
     for (const Tenant &tenant : region.tenants)
         total_wss += tenant.plan.spec.wssPages;
 
+    // Entries are (asid << 48 | vpn, count); sorted by count, then key,
+    // a total order.
     using Entry = std::pair<std::uint64_t, std::uint64_t>;
     std::vector<std::vector<Entry>> ranked(region.tenants.size());
-    if (ranked.size() == 1)
-        ranked.front().reserve(region.trueCounts.size());
-    for (const auto &[key, count] : region.trueCounts) {
-        const CgroupId cg = region.kernel.memcg().cgroupOf(
-            static_cast<Asid>(key >> 48));
-        for (std::size_t i = 0; i < region.tenants.size(); ++i) {
-            if (region.tenants[i].cgroup == cg) {
-                ranked[i].emplace_back(key, count);
-                break;
+    region.trueCounts.forEach(
+        [&](Asid asid, Vpn vpn, std::uint64_t count) {
+            if (count == 0)
+                return;
+            const CgroupId cg = region.kernel.memcg().cgroupOf(asid);
+            for (std::size_t i = 0; i < region.tenants.size(); ++i) {
+                if (region.tenants[i].cgroup == cg) {
+                    ranked[i].emplace_back(
+                        (static_cast<std::uint64_t>(asid) << 48) | vpn,
+                        count);
+                    break;
+                }
             }
-        }
-    }
+        });
 
     std::uint64_t considered_all = 0;
     std::uint64_t resident_all = 0;

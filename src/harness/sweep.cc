@@ -276,7 +276,7 @@ SweepRunner::runCached(const ExperimentConfig &cfg) const
         rejected.policy = cfg.policy;
         rejected.error = valid.error().render();
         std::fprintf(stderr, "sweep: rejected %s/%s: %s\n",
-                     cfg.workload.c_str(), cfg.policy.c_str(),
+                     rejected.workload.c_str(), cfg.policy.c_str(),
                      rejected.error.c_str());
         return rejected;
     }

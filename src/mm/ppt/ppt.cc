@@ -119,6 +119,13 @@ PingPongThrottle::cooldownNs(const Entry &e) const
     return ms * kMillisecond;
 }
 
+const PingPongThrottle::Entry *
+PingPongThrottle::entryOf(Asid asid, Vpn vpn) const
+{
+    const std::uint32_t *slot = index_.find(asid, vpn);
+    return slot && *slot ? &pool_[*slot - 1] : nullptr;
+}
+
 bool
 PingPongThrottle::admit(Asid asid, Vpn vpn, PptHop dir, Tick now,
                         NodeId node, PageType type, Pfn pfn)
@@ -126,19 +133,19 @@ PingPongThrottle::admit(Asid asid, Vpn vpn, PptHop dir, Tick now,
     if (!cfg_.enable)
         return true;
     lastTick_ = now;
-    const auto it = index_.find(key(asid, vpn));
-    if (it == index_.end())
+    const Entry *e = entryOf(asid, vpn);
+    if (!e)
         return true;
-    Entry &e = pool_[it->second];
-    if (e.lastDir == dir)
+    if (e->lastDir == dir)
         return true; // same direction: chained hops stay free
-    if (now - e.lastHopAt >= cooldownNs(e))
+    if (now - e->lastHopAt >= cooldownNs(*e))
         return true;
     // Denied: the page is still inside its reverse-hop cooldown. Keep
     // the offender's history hot in the LRU — evicting it mid-cooldown
     // would forget exactly the page the table exists to remember.
-    lruUnlink(it->second);
-    lruPushFront(it->second);
+    const auto idx = static_cast<std::uint32_t>(e - pool_.data());
+    lruUnlink(idx);
+    lruPushFront(idx);
     vmstat_.inc(dir == PptHop::Promote ? Vm::PptThrottledPromote
                                        : Vm::PptThrottledDemote);
     trace_.emitPage(TraceEvent::PptThrottle, now, node, type, pfn, asid,
@@ -153,25 +160,30 @@ PingPongThrottle::recordHop(Asid asid, Vpn vpn, PptHop dir, Tick now,
     if (!cfg_.enable)
         return;
     lastTick_ = now;
+    // Address spaces hand out dense low vpns; one this far out is a
+    // bug upstream, and would size the slot table past any machine.
     if (vpn >> 48)
-        tpp_panic("ppt: vpn %llu overflows the packed history key",
+        tpp_panic("ppt: vpn %llu is past the history table's range",
                   static_cast<unsigned long long>(vpn));
-    const std::uint64_t k = key(asid, vpn);
-    auto it = index_.find(k);
-    if (it == index_.end()) {
+    std::uint32_t &slot = index_(asid, vpn);
+    if (slot == 0) {
+        // allocEntry() may evict another page, clearing that page's
+        // slot; this one stays valid.
         const std::uint32_t idx = allocEntry(now, node);
         Entry &e = pool_[idx];
-        e.key = k;
+        e.vpn = vpn;
+        e.asid = asid;
         e.lastHopAt = now;
         e.flips = 0;
         e.lastDir = dir;
         e.escalation = 0;
-        index_.emplace(k, idx);
+        slot = idx + 1;
+        tracked_++;
         lruPushFront(idx);
         return;
     }
 
-    const std::uint32_t idx = it->second;
+    const std::uint32_t idx = slot - 1;
     Entry &e = pool_[idx];
     if (e.lastDir != dir) {
         e.flips++;
@@ -199,6 +211,7 @@ PingPongThrottle::clear()
     pool_.clear();
     freeList_.clear();
     index_.clear();
+    tracked_ = 0;
     lruHead_ = kNil;
     lruTail_ = kNil;
 }
@@ -206,21 +219,21 @@ PingPongThrottle::clear()
 Tick
 PingPongThrottle::cooldownNsFor(Asid asid, Vpn vpn) const
 {
-    const auto it = index_.find(key(asid, vpn));
-    return it == index_.end() ? 0 : cooldownNs(pool_[it->second]);
+    const Entry *e = entryOf(asid, vpn);
+    return e ? cooldownNs(*e) : 0;
 }
 
 std::uint64_t
 PingPongThrottle::flipsFor(Asid asid, Vpn vpn) const
 {
-    const auto it = index_.find(key(asid, vpn));
-    return it == index_.end() ? 0 : pool_[it->second].flips;
+    const Entry *e = entryOf(asid, vpn);
+    return e ? e->flips : 0;
 }
 
 bool
 PingPongThrottle::tracks(Asid asid, Vpn vpn) const
 {
-    return index_.count(key(asid, vpn)) != 0;
+    return entryOf(asid, vpn) != nullptr;
 }
 
 std::uint32_t
@@ -248,7 +261,8 @@ PingPongThrottle::evictLru(Tick now, NodeId node)
         tpp_panic("ppt: eviction from an empty history table");
     const std::uint32_t idx = lruTail_;
     lruUnlink(idx);
-    index_.erase(pool_[idx].key);
+    index_(pool_[idx].asid, pool_[idx].vpn) = 0;
+    tracked_--;
     freeList_.push_back(idx);
     vmstat_.inc(Vm::PptHistoryEvict);
     trace_.emit(TraceEvent::PptEvict, now, node);
@@ -260,7 +274,7 @@ PingPongThrottle::trimToCapacity()
     // Sysctl shrink: forget coldest-first until we fit. The pool keeps
     // its high-water allocation (entries just park on the free list);
     // a later capacity raise grows into it again.
-    while (index_.size() > cfg_.historyPages)
+    while (tracked_ > cfg_.historyPages)
         evictLru(lastTick_, kInvalidNode);
 }
 

@@ -15,7 +15,8 @@
  *    recording the direction and timestamp of each page's last hop.
  *    The table is its own arena beside the SoA frame table: history is
  *    cold metadata for a small set of suspects, so it must not widen
- *    the 16-byte hot frame records every page pays for;
+ *    the 16-byte hot frame records every page pays for. A dense
+ *    per-(asid, vpn) slot table (PageSlots) finds a page's entry;
  *  - a cooldown window: a reverse-direction migration within
  *    vm.ppt.cooldown_ms of the prior hop is denied (the deciding
  *    policy simply retries later, exactly like a token-bucket defer);
@@ -37,11 +38,11 @@
 #define TPP_MM_PPT_PPT_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mm/sysctl.hh"
 #include "mm/vmstat.hh"
+#include "sim/page_slots.hh"
 #include "sim/types.hh"
 #include "trace/trace.hh"
 
@@ -110,7 +111,7 @@ class PingPongThrottle
     // ---- introspection (tests, benches) -----------------------------
 
     /** Pages currently tracked in the history table. */
-    std::size_t trackedPages() const { return index_.size(); }
+    std::size_t trackedPages() const { return tracked_; }
     /** Effective cooldown of a tracked page in ns; 0 when untracked. */
     Tick cooldownNsFor(Asid asid, Vpn vpn) const;
     /** Direction flips recorded for a page; 0 when untracked. */
@@ -128,8 +129,9 @@ class PingPongThrottle
   private:
     /** One page's history: 40 bytes, pooled, index-linked LRU. */
     struct Entry {
-        std::uint64_t key = 0;
+        Vpn vpn = 0;
         Tick lastHopAt = 0;
+        Asid asid = 0;
         std::uint32_t flips = 0;
         std::uint32_t lruPrev = kNil;
         std::uint32_t lruNext = kNil;
@@ -140,17 +142,8 @@ class PingPongThrottle
 
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
-    /**
-     * Stable page identity packed into the hash key. Address spaces
-     * hand out dense low vpns, so 48 bits of vpn never truncate here;
-     * the assert in ppt.cc guards the assumption.
-     */
-    static std::uint64_t
-    key(Asid asid, Vpn vpn)
-    {
-        return (static_cast<std::uint64_t>(asid) << 48) | vpn;
-    }
-
+    /** The tracked entry of (asid, vpn), or nullptr. */
+    const Entry *entryOf(Asid asid, Vpn vpn) const;
     Tick cooldownNs(const Entry &e) const;
     Tick maxCooldownNs() const;
     std::uint32_t allocEntry(Tick now, NodeId node);
@@ -167,7 +160,10 @@ class PingPongThrottle
      *  recycled through the free list / LRU eviction. */
     std::vector<Entry> pool_;
     std::vector<std::uint32_t> freeList_;
-    std::unordered_map<std::uint64_t, std::uint32_t> index_;
+    /** Per page: its pool_ index plus one, or 0 when untracked. */
+    PageSlots<std::uint32_t> index_;
+    /** Entries index_ points at. */
+    std::size_t tracked_ = 0;
     std::uint32_t lruHead_ = kNil;
     std::uint32_t lruTail_ = kNil;
     /** Most recent timestamp seen; stamps sysctl-driven evictions. */

@@ -15,9 +15,6 @@ namespace tpp {
 
 namespace {
 
-/** Touch-map growth bound; stale entries are pruned past this. */
-constexpr std::size_t kTouchTableSoftCap = std::size_t{1} << 17;
-
 double
 parseNumber(const std::string &text)
 {
@@ -150,14 +147,6 @@ AdaptivePolicy::windowTick()
     const std::uint64_t d_total = cur.totalAccesses - prev_.totalAccesses;
 
     windowEpoch_++;
-    if (touches_.size() > kTouchTableSoftCap) {
-        for (auto it = touches_.begin(); it != touches_.end();) {
-            if (it->second.epoch + 2 <= windowEpoch_)
-                it = touches_.erase(it);
-            else
-                ++it;
-        }
-    }
 
     if (d_total > 0) {
         AdaptiveWindowMetrics m;
@@ -474,10 +463,7 @@ AdaptivePolicy::onHintFault(Pfn pfn, NodeId task_nid)
     }
 
     if (threshold > 1) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(cold.ownerAsid) << 48) |
-            cold.ownerVpn;
-        Touch &touch = touches_[key];
+        Touch &touch = touches_(cold.ownerAsid, cold.ownerVpn);
         if (touch.epoch + 1 < windowEpoch_)
             touch.count = 0; // outside the sliding two-window span
         touch.epoch = windowEpoch_;

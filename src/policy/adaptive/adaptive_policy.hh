@@ -51,6 +51,7 @@
 
 #include "core/tpp_policy.hh"
 #include "mm/policy_params.hh"
+#include "sim/page_slots.hh"
 #include "trace/trace.hh"
 
 namespace tpp {
@@ -165,8 +166,9 @@ class AdaptivePolicy : public TppPolicy
     std::uint64_t sloMet_ = 0;
     std::uint64_t sloOffered_ = 0;
 
-    // Per-page touch filter (sliding two-window recency).
-    std::unordered_map<std::uint64_t, Touch> touches_;
+    // Per-page touch filter (sliding two-window recency). A slot two
+    // windows stale is reset by its next touch.
+    PageSlots<Touch> touches_;
 
     // Coordinate-descent state.
     Stage stage_ = Stage::Baseline;

@@ -53,13 +53,6 @@ ZipfDistribution::h(double x) const
     return std::exp(-theta_ * std::log(x));
 }
 
-double
-ZipfDistribution::drawU(Rng &rng) const
-{
-    return hIntegralNumberOfElements_ +
-           rng.nextDouble() * (hIntegralX1_ - hIntegralNumberOfElements_);
-}
-
 bool
 ZipfDistribution::acceptsTail(double u, double k) const
 {
@@ -80,12 +73,13 @@ ZipfDistribution::attemptExact(double u) const
     return 0;
 }
 
-// The table path. An attempt needs x = hIntegralInverse(u) only for two
-// comparisons: which integer x + 0.5 lies above (k), and whether
-// k - x <= s. So an approximation x' with |x' - x| <= eps decides both
-// whenever x' + 0.5 is more than eps from an integer and k - x' is more
-// than eps from s, and then returns exactly what the exact attempt
-// returns; past the squeeze, acceptsTail() depends on k and u alone.
+// The table path (attemptTable(), inline in distributions.hh). An
+// attempt needs x = hIntegralInverse(u) only for two comparisons:
+// which integer x + 0.5 lies above (k), and whether k - x <= s. So an
+// approximation x' with |x' - x| <= eps decides both whenever x' + 0.5
+// is more than eps from an integer and k - x' is more than eps from s,
+// and then returns exactly what the exact attempt returns; past the
+// squeeze, acceptsTail() depends on k and u alone.
 // Every other attempt runs the exact one on the same u, so the rank and
 // the Rng draws never differ from rejection-inversion's.
 //
@@ -137,42 +131,12 @@ ZipfDistribution::buildTable()
 }
 
 std::uint64_t
-ZipfDistribution::attemptTable(double u) const
+ZipfDistribution::drawBeforeTable(Rng &rng)
 {
-    // Every test is written so that a NaN falls back too.
-    const double t = (u - hIntegralX1_) * segmentsPerU_;
-    if (!(t >= 0.0 && t < kSegments))
-        return attemptExact(u);
-    const int j = static_cast<int>(t);
-    const Segment &seg = table_[j];
-    const double tau = t - j;
-    const double x = seg.c0 + tau * (seg.c1 + tau * (seg.c2 + tau * seg.c3));
-    const double y = x + 0.5;
-    // k = floor(y), which must lie in [1, n].
-    if (!(y >= 1.0 && y < static_cast<double>(n_) + 1.0))
-        return attemptExact(u);
-    const auto k = static_cast<double>(static_cast<std::int64_t>(y));
-    const double squeeze = k - x - s_;
-    if (!(y - k > seg.eps && k + 1.0 - y > seg.eps &&
-          std::abs(squeeze) > seg.eps))
-        return attemptExact(u);
-    if (squeeze < 0.0 || acceptsTail(u, k))
-        return static_cast<std::uint64_t>(k);
-    return 0;
-}
-
-std::uint64_t
-ZipfDistribution::operator()(Rng &rng)
-{
-    if (table_.empty()) {
-        if (n_ == 1 || exactDraws_++ < kExactDrawsBeforeTable)
-            return sampleExact(rng);
-        buildTable();
-    }
-    for (;;) {
-        if (const std::uint64_t k = attemptTable(drawU(rng)))
-            return k - 1;
-    }
+    if (n_ == 1 || exactDraws_++ < kExactDrawsBeforeTable)
+        return sampleExact(rng);
+    buildTable();
+    return drawTabled(rng);
 }
 
 std::uint64_t

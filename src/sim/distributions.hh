@@ -13,6 +13,7 @@
 #ifndef TPP_SIM_DISTRIBUTIONS_HH
 #define TPP_SIM_DISTRIBUTIONS_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -43,8 +44,22 @@ class ZipfDistribution
      * draws the distribution builds a cubic table of the inverse and
      * decides each attempt from it when the table's certified error
      * bound allows, else by the exact attempt on the same variate.
+     *
+     * The table path is inline (drawTabled()); the draws before the
+     * table exists, the table build and the exact fallback stay out of
+     * line.
      */
     std::uint64_t operator()(Rng &rng);
+
+    /** True once the table exists, so drawTabled() may draw. */
+    bool tabled() const { return !table_.empty(); }
+
+    /**
+     * operator() on a tabled() distribution. It never passes the Rng
+     * out of line, so a caller's local Rng can stay in registers
+     * across draws.
+     */
+    std::uint64_t drawTabled(Rng &rng) const;
 
     /** Draw one rank by rejection-inversion alone: the reference. */
     std::uint64_t sampleExact(Rng &rng) const;
@@ -72,6 +87,9 @@ class ZipfDistribution
      *  table it would not use. */
     static constexpr std::uint32_t kExactDrawsBeforeTable = 2048;
 
+    /** operator() while no table exists: exact draws, and the build
+     *  once kExactDrawsBeforeTable of them were made. */
+    std::uint64_t drawBeforeTable(Rng &rng);
     /** The uniform variate one attempt inverts. */
     double drawU(Rng &rng) const;
     /** One rejection-inversion attempt: the rank plus one, or 0 when
@@ -99,6 +117,55 @@ class ZipfDistribution
     double segmentsPerU_ = 0.0;
     std::vector<Segment> table_;
 };
+
+inline std::uint64_t
+ZipfDistribution::operator()(Rng &rng)
+{
+    if (!tabled()) [[unlikely]]
+        return drawBeforeTable(rng);
+    return drawTabled(rng);
+}
+
+inline std::uint64_t
+ZipfDistribution::drawTabled(Rng &rng) const
+{
+    for (;;) {
+        if (const std::uint64_t k = attemptTable(drawU(rng)))
+            return k - 1;
+    }
+}
+
+inline double
+ZipfDistribution::drawU(Rng &rng) const
+{
+    return hIntegralNumberOfElements_ +
+           rng.nextDouble() * (hIntegralX1_ - hIntegralNumberOfElements_);
+}
+
+inline std::uint64_t
+ZipfDistribution::attemptTable(double u) const
+{
+    // Every test is written so that a NaN falls back too.
+    const double t = (u - hIntegralX1_) * segmentsPerU_;
+    if (!(t >= 0.0 && t < kSegments))
+        return attemptExact(u);
+    const int j = static_cast<int>(t);
+    const Segment &seg = table_[j];
+    const double tau = t - j;
+    const double x = seg.c0 + tau * (seg.c1 + tau * (seg.c2 + tau * seg.c3));
+    const double y = x + 0.5;
+    // k = floor(y), which must lie in [1, n].
+    if (!(y >= 1.0 && y < static_cast<double>(n_) + 1.0))
+        return attemptExact(u);
+    const auto k = static_cast<double>(static_cast<std::int64_t>(y));
+    const double squeeze = k - x - s_;
+    if (!(y - k > seg.eps && k + 1.0 - y > seg.eps &&
+          std::abs(squeeze) > seg.eps))
+        return attemptExact(u);
+    if (squeeze < 0.0 || acceptsTail(u, k))
+        return static_cast<std::uint64_t>(k);
+    return 0;
+}
 
 } // namespace tpp
 

@@ -59,8 +59,18 @@ class Rng
     std::uint64_t
     nextBounded(std::uint64_t bound)
     {
+        return nextBounded(bound, (0 - bound) % bound);
+    }
+
+    /**
+     * nextBounded(bound) with its rejection threshold, which must be
+     * (0 - bound) % bound, computed once by a caller that draws many
+     * times from one bound.
+     */
+    std::uint64_t
+    nextBounded(std::uint64_t bound, std::uint64_t threshold)
+    {
         // Lemire-style rejection to avoid modulo bias.
-        const std::uint64_t threshold = (0 - bound) % bound;
         for (;;) {
             const std::uint64_t r = next();
             if (r >= threshold)

@@ -28,6 +28,11 @@ SyntheticWorkload::init(Kernel &kernel)
 
     double acc = 0.0;
     for (const RegionSpec &spec : profile_.regions) {
+        // The region pick searches the running sum, which a negative
+        // or NaN weight would leave unsorted.
+        if (!(spec.accessWeight >= 0.0))
+            tpp_fatal("region %s: accessWeight must be >= 0, got %g",
+                      spec.label.c_str(), spec.accessWeight);
         RegionState state;
         state.spec = spec;
         state.base = kernel.mmap(asid_, spec.pages, spec.type, spec.label,
@@ -145,7 +150,7 @@ SyntheticWorkload::refreshPhaseWeights(Tick now)
     for (std::size_t i = 0; i < regions_.size(); ++i) {
         const RegionSpec &spec = regions_[i].spec;
         const bool on = (mask >> i) & 1;
-        // Keep every region minimally sample-able so lower_bound stays
+        // Keep every region minimally sample-able so the pick stays
         // well-defined even if all weights are gated off at once.
         const double eff = std::max(
             on ? spec.accessWeight : spec.accessWeight * spec.phaseOffWeight,
@@ -199,43 +204,59 @@ SyntheticWorkload::refreshGeometry(Tick now)
         region.active = active;
         region.hotPages = hot_pages;
         region.hotStart = hot_start;
+        region.uniformThreshold = (0 - active) % active;
         region.zipfChecked = false;
     }
 }
 
-Vpn
-SyntheticWorkload::sampleRegionVpn(RegionState &region)
+void
+SyntheticWorkload::checkZipf(RegionState &region)
+{
+    // Rebuild the Zipf sampler only when the hot-set size moved
+    // noticeably; construction is cheap but not free. Decided at the
+    // first hot draw after the geometry was computed: deciding at batch
+    // start would also rebuild in batches that draw nothing hot here,
+    // which changes the stream.
+    const std::uint64_t hot_pages = region.hotPages;
+    if (!region.zipf ||
+        (region.cachedHotPages != hot_pages &&
+         (hot_pages > region.cachedHotPages + region.cachedHotPages / 64 ||
+          hot_pages + hot_pages / 64 < region.cachedHotPages))) {
+        region.zipf.emplace(hot_pages, region.spec.zipfTheta);
+        region.cachedHotPages = hot_pages;
+    }
+    region.zipfChecked = true;
+    region.wrapOnce =
+        hot_pages <= region.active && region.zipf->size() <= region.active;
+}
+
+inline Vpn
+SyntheticWorkload::sampleRegionVpn(RegionState &region, Rng &rng)
 {
     const RegionSpec &spec = region.spec;
     const std::uint64_t active = region.active;
     std::uint64_t offset;
-    const double roll = rng_.nextDouble();
+    const double roll = rng.nextDouble();
     if (roll < spec.hotAccessShare + spec.echoShare) {
-        if (!region.zipfChecked) {
-            // Rebuild the Zipf sampler only when the hot-set size moved
-            // noticeably; construction is cheap but not free. Decided
-            // at the first hot draw after the geometry was computed:
-            // deciding at batch start would also rebuild in batches
-            // that draw nothing hot here, which changes the stream.
-            const std::uint64_t hot_pages = region.hotPages;
-            if (!region.zipf ||
-                (region.cachedHotPages != hot_pages &&
-                 (hot_pages >
-                      region.cachedHotPages + region.cachedHotPages / 64 ||
-                  hot_pages + hot_pages / 64 < region.cachedHotPages))) {
-                region.zipf.emplace(hot_pages, spec.zipfTheta);
-                region.cachedHotPages = hot_pages;
-            }
-            region.zipfChecked = true;
-            region.wrapOnce =
-                hot_pages <= active && region.zipf->size() <= active;
-        }
+        if (!region.zipfChecked)
+            checkZipf(region);
         if (roll < spec.hotAccessShare) {
-            offset = region.hotStart + (*region.zipf)(rng_);
+            ZipfDistribution &zipf = *region.zipf;
+            std::uint64_t rank;
+            if (zipf.tabled()) {
+                rank = zipf.drawTabled(rng);
+            } else {
+                // Out of line on a copy, so that `rng` is never passed
+                // by address and can stay in registers.
+                Rng state = rng;
+                rank = zipf(state);
+                rng = state;
+            }
+            offset = region.hotStart + rank;
         } else {
             // Echo zone: uniform over the window-sized span of pages the
             // drifting window most recently left behind.
-            const std::uint64_t back = 1 + rng_.nextBounded(region.hotPages);
+            const std::uint64_t back = 1 + rng.nextBounded(region.hotPages);
             offset = region.hotStart + active - back;
         }
         if (!region.wrapOnce)
@@ -243,9 +264,30 @@ SyntheticWorkload::sampleRegionVpn(RegionState &region)
         else if (offset >= active)
             offset -= active;
     } else {
-        offset = rng_.nextBounded(active);
+        offset = rng.nextBounded(active, region.uniformThreshold);
     }
     return region.base + offset;
+}
+
+void
+SyntheticWorkload::drawChunk(std::size_t n)
+{
+    // Draw from a local copy of the Rng, written back once. Nothing in
+    // this loop takes its address, so it can stay in registers.
+    Rng rng = rng_;
+    const double *prefix = weightPrefix_.data();
+    const std::size_t count = weightPrefix_.size();
+    const double total_weight = prefix[count - 1];
+    for (std::size_t i = 0; i < n; ++i) {
+        const double pick = rng.nextDouble() * total_weight;
+        RegionState &region = regions_[pickWeighted(prefix, count, pick)];
+        const Vpn vpn = sampleRegionVpn(region, rng);
+        const AccessKind kind = rng.nextBool(region.spec.storeShare)
+                                    ? AccessKind::Store
+                                    : AccessKind::Load;
+        chunk_[i] = DrawnAccess{vpn, kind};
+    }
+    rng_ = rng;
 }
 
 double
@@ -397,25 +439,33 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
     refreshGeometry(now);
 
     const double think = think_.perOpNs(now);
-    const double total_weight = weightPrefix_.back();
-
-    for (std::uint64_t op = 0; op < ops; ++op) {
-        duration += think;
-        for (std::uint32_t a = 0; a < profile_.accessesPerOp; ++a) {
-            // Pick a region by access weight.
-            const double pick = rng_.nextDouble() * total_weight;
-            const std::size_t idx = static_cast<std::size_t>(
-                std::lower_bound(weightPrefix_.begin(),
-                                 weightPrefix_.end(), pick) -
-                weightPrefix_.begin());
-            RegionState &region =
-                regions_[std::min(idx, regions_.size() - 1)];
-            const Vpn vpn = sampleRegionVpn(region);
-            const AccessKind kind =
-                rng_.nextBool(region.spec.storeShare) ? AccessKind::Store
-                                                      : AccessKind::Load;
-            duration += issueAccess(kernel, vpn, kind, result);
+    const std::uint64_t per_op = profile_.accessesPerOp;
+    if (per_op == 0) {
+        for (std::uint64_t op = 0; op < ops; ++op)
+            duration += think;
+    }
+    // The batch's accesses run in chunks of whole ops, unless one op
+    // alone is longer than a chunk. Pass 1 draws a chunk, pass 2 issues
+    // it: the draws, the kernel accesses and the sum (think time, then
+    // each access's latency, op by op) keep the order of one loop that
+    // draws and issues each access in turn.
+    const std::uint64_t chunk =
+        per_op == 0 || per_op > kChunkAccesses
+            ? kChunkAccesses
+            : kChunkAccesses - kChunkAccesses % per_op;
+    std::uint64_t in_op = 0;
+    for (std::uint64_t left = ops * per_op; left != 0;) {
+        const std::size_t n = static_cast<std::size_t>(std::min(left, chunk));
+        drawChunk(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (in_op == 0)
+                duration += think;
+            duration += issueAccess(kernel, chunk_[i].vpn, chunk_[i].kind,
+                                    result);
+            if (++in_op == per_op)
+                in_op = 0;
         }
+        left -= n;
     }
     if (kernel.eventQueue().now() != now)
         tpp_panic("simulated time moved inside a %s batch",

@@ -14,6 +14,9 @@
 #ifndef TPP_WORKLOADS_SYNTHETIC_HH
 #define TPP_WORKLOADS_SYNTHETIC_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -135,6 +138,26 @@ struct WorkloadProfile {
 };
 
 /**
+ * The entry a weighted draw picks from a non-decreasing prefix table of
+ * `count` >= 1 entries: min(lower_bound(pick) - prefix, count - 1).
+ * Branch-free: halving steps whose number depends on `count` alone move
+ * the base by a conditional add, so a random pick never mispredicts.
+ */
+inline std::size_t
+pickWeighted(const double *prefix, std::size_t count, double pick)
+{
+    const double *base = prefix;
+    for (std::size_t n = count; n > 1;) {
+        const std::size_t half = n / 2;
+        base += base[half] < pick ? half : 0;
+        n -= half;
+    }
+    const std::size_t idx =
+        static_cast<std::size_t>(base - prefix) + (*base < pick);
+    return std::min(idx, count - 1);
+}
+
+/**
  * The synthetic workload engine.
  */
 class SyntheticWorkload : public Workload
@@ -175,6 +198,8 @@ class SyntheticWorkload : public Workload
         std::uint64_t active = 1;   //!< pages in use
         std::uint64_t hotPages = 1; //!< hot-window size
         std::uint64_t hotStart = 0; //!< hot-window start, < active
+        /** Rng::nextBounded's rejection threshold for `active`. */
+        std::uint64_t uniformThreshold = 0;
         /** The lazy Zipf rebuild check has run since the geometry was
          *  last computed. */
         bool zipfChecked = false;
@@ -186,6 +211,15 @@ class SyntheticWorkload : public Workload
         Vpn base;
         std::uint64_t pages;
         Tick diesAt;
+    };
+
+    /** Most accesses a batch draws before it issues them. */
+    static constexpr std::size_t kChunkAccesses = 256;
+
+    /** One access drawn by drawChunk(), waiting to be issued. */
+    struct DrawnAccess {
+        Vpn vpn;
+        AccessKind kind;
     };
 
     double issueAccess(Kernel &kernel, Vpn vpn, AccessKind kind,
@@ -202,7 +236,12 @@ class SyntheticWorkload : public Workload
     /** Compute every region's sampling geometry for a batch at `now`,
      *  unless nothing it depends on can have moved since the last. */
     void refreshGeometry(Tick now);
-    Vpn sampleRegionVpn(RegionState &region);
+    /** The lazy Zipf rebuild check of a region's first hot draw since
+     *  its geometry was computed. */
+    void checkZipf(RegionState &region);
+    Vpn sampleRegionVpn(RegionState &region, Rng &rng);
+    /** Draw the next `n` <= kChunkAccesses accesses into chunk_. */
+    void drawChunk(std::size_t n);
     std::uint64_t activePages(const RegionState &region, Tick now) const;
     double runWarmupChunk(Kernel &kernel, BatchResult &result);
     double maintainTransients(Kernel &kernel, Tick now,
@@ -217,6 +256,7 @@ class SyntheticWorkload : public Workload
 
     std::vector<RegionState> regions_;
     std::vector<double> weightPrefix_;
+    std::array<DrawnAccess, kChunkAccesses> chunk_;
     /** Any region phase-gated? False keeps the legacy static table. */
     bool anyPhased_ = false;
     /** Bitmask of per-region on/off states the table was built for. */

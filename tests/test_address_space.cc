@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit tests for AddressSpace: VMAs, PTEs and range recycling.
+ * Unit tests for AddressSpace: VMAs, PTEs and range recycling, and for
+ * PageSlots, the per-page side table laid out like its page table.
  */
+
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mm/address_space.hh"
 #include "sim/logging.hh"
+#include "sim/page_slots.hh"
 
 namespace tpp {
 namespace {
@@ -137,6 +142,32 @@ TEST(AddressSpaceDeathTest, MunmapPresentPtePanics)
     const Vpn a = as.mmap(2, PageType::Anon, "a");
     as.pte(a).set(Pte::BitPresent);
     EXPECT_DEATH(as.munmap(a, 2), "present");
+}
+
+TEST(PageSlots, ReadsZeroWithoutAllocatingAndVisitsInOrder)
+{
+    PageSlots<std::uint64_t> slots;
+    EXPECT_EQ(slots.find(0, 0), nullptr);
+    EXPECT_EQ(slots.find(3, Vpn{1} << 40), nullptr);
+    slots(2, 5) = 7;
+    slots(0, PageSlots<std::uint64_t>::kChunkSlots + 1) = 9;
+    ASSERT_NE(slots.find(2, 5), nullptr);
+    EXPECT_EQ(*slots.find(2, 5), 7u);
+    EXPECT_EQ(*slots.find(2, 6), 0u); // same chunk, never written
+    EXPECT_EQ(slots.find(1, 5), nullptr);
+    EXPECT_EQ(slots.find(2, PageSlots<std::uint64_t>::kChunkSlots), nullptr);
+
+    std::vector<std::tuple<Asid, Vpn, std::uint64_t>> seen;
+    slots.forEach([&](Asid asid, Vpn vpn, std::uint64_t value) {
+        if (value != 0)
+            seen.emplace_back(asid, vpn, value);
+    });
+    const std::vector<std::tuple<Asid, Vpn, std::uint64_t>> want = {
+        {0, PageSlots<std::uint64_t>::kChunkSlots + 1, 9}, {2, 5, 7}};
+    EXPECT_EQ(seen, want);
+
+    slots.clear();
+    EXPECT_EQ(slots.find(2, 5), nullptr);
 }
 
 } // namespace

@@ -229,6 +229,61 @@ TEST_F(PptUnit, ClearForgetsHistoryButNotCountersOrConfig)
     EXPECT_TRUE(ppt->enabled());
 }
 
+TEST_F(PptUnit, EvictionClearsTheSlot)
+{
+    PptConfig cfg = defaultConfig();
+    cfg.historyPages = 2;
+    make(cfg);
+
+    record(7, PptHop::Demote, 1 * kMillisecond);
+    record(7, PptHop::Promote, 20 * kMillisecond);
+    EXPECT_EQ(ppt->flipsFor(kAsid, 7), 1u);
+    record(8, PptHop::Demote, 21 * kMillisecond);
+    record(9, PptHop::Demote, 22 * kMillisecond); // evicts vpn 7
+    EXPECT_FALSE(ppt->tracks(kAsid, 7));
+    EXPECT_EQ(ppt->flipsFor(kAsid, 7), 0u);
+    EXPECT_EQ(ppt->cooldownNsFor(kAsid, 7), 0u);
+    EXPECT_EQ(ppt->trackedPages(), 2u);
+
+    // Re-recorded, the page starts a fresh history.
+    record(7, PptHop::Promote, 23 * kMillisecond);
+    EXPECT_TRUE(ppt->tracks(kAsid, 7));
+    EXPECT_EQ(ppt->flipsFor(kAsid, 7), 0u);
+    EXPECT_TRUE(admit(7, PptHop::Promote, 24 * kMillisecond));
+    EXPECT_EQ(ppt->trackedPages(), 2u);
+}
+
+TEST_F(PptUnit, ClearZeroesTheTrackedCount)
+{
+    for (Vpn v = 0; v < 10; ++v)
+        record(v * 100000, PptHop::Demote, (v + 1) * kMillisecond);
+    ppt->recordHop(kAsid + 3, 5, PptHop::Demote, 20 * kMillisecond, kCxl,
+                   PageType::Anon, 5);
+    EXPECT_EQ(ppt->trackedPages(), 11u);
+    ppt->clear();
+    EXPECT_EQ(ppt->trackedPages(), 0u);
+    EXPECT_FALSE(ppt->tracks(kAsid, 0));
+    EXPECT_FALSE(ppt->tracks(kAsid + 3, 5));
+    record(0, PptHop::Demote, 30 * kMillisecond);
+    EXPECT_EQ(ppt->trackedPages(), 1u);
+}
+
+TEST_F(PptUnit, LookupPastTheTableIsUntracked)
+{
+    record(3, PptHop::Demote, 1 * kMillisecond);
+    const Vpn far = Vpn{1} << 40;
+    for (const auto &[asid, vpn] :
+         {std::pair<Asid, Vpn>{kAsid, far}, {kAsid + 9, 3}, {0, 3}}) {
+        EXPECT_FALSE(ppt->tracks(asid, vpn));
+        EXPECT_EQ(ppt->flipsFor(asid, vpn), 0u);
+        EXPECT_EQ(ppt->cooldownNsFor(asid, vpn), 0u);
+        EXPECT_TRUE(ppt->admit(asid, vpn, PptHop::Promote,
+                               2 * kMillisecond, kTop, PageType::Anon, 3));
+    }
+    EXPECT_EQ(ppt->trackedPages(), 1u);
+    EXPECT_EQ(denials(), 0u);
+}
+
 TEST_F(PptUnit, SysctlValidationRanges)
 {
     make(PptConfig{}); // stock defaults: 1000/16384/2/16000, disabled

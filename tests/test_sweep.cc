@@ -474,8 +474,10 @@ TEST(Sweep, TenantsWithChameleonRejectOnlyThatConfig)
     bad.tenants = parseTenantsSpec("web;churn");
     bad.withChameleon = true;
 
+    ::testing::internal::CaptureStderr();
     const std::vector<ExperimentResult> results =
         SweepRunner().run({good, bad});
+    const std::string diagnostics = ::testing::internal::GetCapturedStderr();
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].failed()) << results[0].error;
     EXPECT_GT(results[0].throughput, 0.0);
@@ -483,6 +485,9 @@ TEST(Sweep, TenantsWithChameleonRejectOnlyThatConfig)
     EXPECT_EQ(results[1].workload, "web+churn");
     EXPECT_NE(results[1].error.find("Chameleon"), std::string::npos)
         << results[1].error;
+    // The diagnostic names the run the rejected row names.
+    EXPECT_NE(diagnostics.find("rejected web+churn/tpp"), std::string::npos)
+        << diagnostics;
 }
 
 TEST(Sweep, ZeroPageTenantShareRejectsOnlyThatConfig)

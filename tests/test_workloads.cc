@@ -220,15 +220,22 @@ expectStreamGoldenAt(const WorkloadProfile &profile,
     EXPECT_EQ(totals.memLatencyNs, golden.memLatencyNs);
 }
 
+/** The ticks of `batches` batches, one every 100 ms from tick 0. */
+std::vector<Tick>
+everyHundredMs(Tick batches)
+{
+    std::vector<Tick> ticks;
+    for (Tick batch = 0; batch < batches; ++batch)
+        ticks.push_back(batch * 100 * kMillisecond);
+    return ticks;
+}
+
 /** Run `profile` for 100 batches of 50 operations, one every 100 ms. */
 void
 expectStreamGolden(const WorkloadProfile &profile, std::uint64_t wss_pages,
                    const StreamGolden &golden)
 {
-    std::vector<Tick> ticks;
-    for (Tick batch = 0; batch < 100; ++batch)
-        ticks.push_back(batch * 100 * kMillisecond);
-    expectStreamGoldenAt(profile, wss_pages, ticks, 50, golden);
+    expectStreamGoldenAt(profile, wss_pages, everyHundredMs(100), 50, golden);
 }
 
 TEST(AccessStreamGolden, NamedProfiles)
@@ -409,6 +416,104 @@ TEST(AccessStreamGolden, StepsAcrossRotationAndPhaseEdges)
                           0x1.1b35248000002p+26, 0x1.1633e48000002p+26});
 }
 
+TEST(AccessStreamGolden, RunBatchSizedBatches)
+{
+    // A full-size batch is drawn in many chunks and ends on a partial
+    // one (2000 x 4, 1500 x 6 and 2000 x 6 accesses).
+    const StreamGolden goldens[] = {
+        {"cache1", 0xcb608034b40ca2d8ULL, 38000, 159743, 0x1.d1f9c9p+25,
+         0x1.d41592p+24},
+        {"dwh", 0x6546a9d153c15dd4ULL, 28500, 174480, 0x1.0a46e5p+26,
+         0x1.0fa0eap+25},
+        {"churn", 0xbf6169b0494725f1ULL, 38000, 268166, 0x1.8d743b8p+30,
+         0x1.871cb28p+30},
+    };
+    for (const StreamGolden &golden : goldens) {
+        const WorkloadProfile p = profiles::byName(golden.name, 4096);
+        expectStreamGoldenAt(p, 4096, everyHundredMs(20), p.opsPerBatch,
+                             golden);
+    }
+}
+
+TEST(AccessStreamGolden, EveryBranchProfileOpSizes)
+{
+    // No access per op (think time and maintenance only), and one op
+    // longer than a draw chunk.
+    WorkloadProfile none = everyBranchProfile();
+    none.accessesPerOp = 0;
+    expectStreamGolden(none, 3072,
+                       {"no accesses", 0x03ce63b08c851b28ULL, 4900, 6452,
+                        0x1.1aba48p+23, 0x1.d056ap+21});
+    WorkloadProfile wide = everyBranchProfile();
+    wide.accessesPerOp = 300;
+    expectStreamGolden(wide, 3072,
+                       {"300 per op", 0xff25fc69aabdf2baULL, 4900, 1476452,
+                        0x1.18b7e6cp+27, 0x1.0e3cdd4p+27});
+}
+
+TEST(AccessStreamGolden, GrowingAndShrinkingRegions)
+{
+    // Active pages move on every batch, up to the reservation and down
+    // to one page, and most draws are uniform over them.
+    WorkloadProfile p;
+    p.name = "grow";
+    p.seed = 11;
+    RegionSpec grow;
+    grow.label = "grow";
+    grow.pages = 3000;
+    grow.initialActiveFraction = 0.05;
+    grow.growthPagesPerSec = 900.0;
+    grow.hotAccessShare = 0.2;
+    grow.echoShare = 0.1;
+    p.regions.push_back(grow);
+    RegionSpec shrink;
+    shrink.label = "shrink";
+    shrink.pages = 1000;
+    shrink.growthPagesPerSec = -150.0;
+    shrink.hotAccessShare = 0.3;
+    shrink.accessWeight = 0.5;
+    p.regions.push_back(shrink);
+    expectStreamGolden(p, 4096,
+                       {"grow", 0x73320e4084955e57ULL, 5000, 20000,
+                        0x1.c79d6cp+23, 0x1.7b522cp+23});
+}
+
+TEST(PickWeighted, MatchesClampedLowerBound)
+{
+    const auto check = [](const std::vector<double> &prefix, double pick) {
+        const auto bound = static_cast<std::size_t>(
+            std::lower_bound(prefix.begin(), prefix.end(), pick) -
+            prefix.begin());
+        ASSERT_EQ(pickWeighted(prefix.data(), prefix.size(), pick),
+                  std::min(bound, prefix.size() - 1))
+            << prefix.size() << " entries, pick " << pick;
+    };
+    // Each prefix mixes zero weights (equal entries), the 1e-9 floor of
+    // phase gating and ordinary weights. Picks: random ones, each entry
+    // exactly and either side of it, and picks at or past either end.
+    Rng rng(19);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::size_t count = 1 + rng.nextBounded(64);
+        const std::uint64_t mix = rng.nextBounded(4);
+        std::vector<double> prefix;
+        double acc = 0.0;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint64_t kind = mix == 0 ? 0 : rng.nextBounded(mix + 1);
+            acc += kind == 0 ? 0.0 : kind == 1 ? 1e-9 : rng.nextDouble();
+            prefix.push_back(acc);
+        }
+        for (int k = 0; k < 8; ++k)
+            check(prefix, rng.nextDouble() * acc);
+        for (const double entry : prefix) {
+            check(prefix, entry);
+            check(prefix, std::nextafter(entry, -1.0));
+            check(prefix, std::nextafter(entry, 2.0 * entry + 1.0));
+        }
+        for (const double pick : {0.0, -1.0, acc, 2.0 * acc + 1.0})
+            check(prefix, pick);
+    }
+}
+
 TEST(Profiles, AllFourBuildAndSumNearWss)
 {
     for (const char *name : {"web", "cache1", "cache2", "dwh"}) {
@@ -473,6 +578,20 @@ TEST(SyntheticWorkloadDeathTest, ClockMovingInsideABatchPanics)
     wl.setObserver([&m](const AccessRecord &) { m.eq.run(m.eq.now() + 1); });
     wl.init(m.kernel);
     EXPECT_DEATH(wl.runBatch(m.kernel), "simulated time moved");
+}
+
+TEST(SyntheticWorkloadDeathTest, NegativeOrNanAccessWeightIsFatal)
+{
+    // The region pick searches the running sum of the weights, which
+    // such a weight leaves unsorted.
+    setLogVerbose(false);
+    for (const double weight : {-0.5, std::nan("")}) {
+        TestMachine m(2048, 2048);
+        WorkloadProfile p = tinyProfile();
+        p.regions[0].accessWeight = weight;
+        SyntheticWorkload wl(p);
+        EXPECT_DEATH(wl.init(m.kernel), "accessWeight must be >= 0");
+    }
 }
 
 TEST(ProfilesDeathTest, UnknownNameIsFatal)

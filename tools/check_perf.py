@@ -24,9 +24,19 @@ class the baseline documents):
     bench/micro_mm_ops --benchmark_format=json > results.json
     tools/check_perf.py results.json bench/perf_baseline.json --update
 
+Pins taken on another machine class say little about this one. To judge
+a change on one host, run micro_mm_ops from the parent tree and from
+the change on that host, then compare the two result files with
+--against: the parent's counters stand in for the pinned values, and
+the baseline supplies only the counter names, directions and the same
+thresholds.
+
+    tools/check_perf.py change.json bench/perf_baseline.json \
+        --against parent.json
+
 Usage:
     check_perf.py RESULTS_JSON BASELINE_JSON [--fail-pct N]
-                  [--warn-pct N] [--update]
+                  [--warn-pct N] [--update | --against PARENT_JSON]
 """
 
 import argparse
@@ -62,14 +72,22 @@ def main():
                         help="regression %% that fails the gate")
     parser.add_argument("--warn-pct", type=float, default=10.0,
                         help="regression %% that warns")
-    parser.add_argument("--update", action="store_true",
-                        help="write current values into the baseline")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--update", action="store_true",
+                      help="write current values into the baseline")
+    mode.add_argument("--against", metavar="PARENT_JSON",
+                      help="compare with a parent run from the same "
+                           "host instead of the pinned values")
     args = parser.parse_args()
 
     with open(args.results) as handle:
         results = json.load(handle)
     with open(args.baseline) as handle:
         baseline = json.load(handle)
+    parent = None
+    if args.against:
+        with open(args.against) as handle:
+            parent = load_counters(json.load(handle))
 
     measured = load_counters(results)
     failures = 0
@@ -78,7 +96,15 @@ def main():
 
     for name, spec in sorted(baseline.get("counters", {}).items()):
         counter = spec["counter"]
-        pinned = float(spec["value"])
+        if parent is None:
+            pinned = float(spec["value"])
+        elif parent.get(name, {}).get(counter) is None:
+            print(f"::error::perf gate: benchmark '{name}' reports no "
+                  f"'{counter}' counter in the parent run")
+            failures += 1
+            continue
+        else:
+            pinned = float(parent[name][counter])
         direction = spec.get("direction", "higher")
         if direction not in ("higher", "lower"):
             print(f"::error::perf gate: baseline for '{name}' has "
@@ -126,7 +152,8 @@ def main():
                   f"{-regression:.1f}% ({pinned:.3g} -> {current:.3g}); "
                   f"consider re-baselining with --update")
 
-    header = f"{'benchmark':32} {'counter':16} {'baseline':>12} " \
+    reference = "baseline" if parent is None else "parent"
+    header = f"{'benchmark':32} {'counter':16} {reference:>12} " \
              f"{'current':>12} {'delta':>8}"
     print(header)
     print("-" * len(header))

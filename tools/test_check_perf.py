@@ -4,7 +4,8 @@
 Covers the counter-direction handling — a rate counter (pages/sec,
 higher is better) must fail the gate when it drops and pass when it
 rises, a cost counter (direction "lower", e.g. ns/window) the other
-way around — plus --update re-baselining.
+way around — plus --update re-baselining and --against, the
+comparison with a parent run from the same host.
 """
 
 import json
@@ -126,6 +127,55 @@ class CheckPerfTest(unittest.TestCase):
         proc2, _ = self.run_gate(
             results_json({"BM_Rate": 700.0, "BM_Cost": 80.0}), updated)
         self.assertEqual(proc2.returncode, 0, proc2.stdout)
+
+    def test_against_compares_with_the_parent_run(self):
+        # The parent's counters replace the pins: a counter far from its
+        # pin passes when it matches the parent, and one 30% off the
+        # parent fails in its own direction.
+        baseline = baseline_json(
+            {"BM_Rate": {"counter": "counter", "value": 1.0},
+             "BM_Cost": {"counter": "counter", "value": 1.0,
+                         "direction": "lower"}})
+        parent_path = self.write(
+            "parent.json", results_json({"BM_Rate": 1000.0,
+                                         "BM_Cost": 50.0}))
+        proc, _ = self.run_gate(
+            results_json({"BM_Rate": 1010.0, "BM_Cost": 49.0}), baseline,
+            "--against", parent_path)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("parent", proc.stdout)
+        self.assertNotIn("::warning::", proc.stdout)
+        proc, _ = self.run_gate(
+            results_json({"BM_Rate": 1000.0, "BM_Cost": 65.0}), baseline,
+            "--against", parent_path)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("::error::perf gate: BM_Cost", proc.stdout)
+        proc, _ = self.run_gate(
+            results_json({"BM_Rate": 850.0, "BM_Cost": 50.0}), baseline,
+            "--against", parent_path)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("::warning::perf gate: BM_Rate", proc.stdout)
+
+    def test_against_fails_on_a_counter_the_parent_lacks(self):
+        baseline = baseline_json(
+            {"BM_New": {"counter": "counter", "value": 1000.0}})
+        parent_path = self.write("parent.json", results_json({}))
+        proc, _ = self.run_gate(results_json({"BM_New": 1000.0}),
+                                baseline, "--against", parent_path)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("in the parent run", proc.stdout)
+
+    def test_against_and_update_are_exclusive(self):
+        baseline = baseline_json(
+            {"BM_Rate": {"counter": "counter", "value": 1000.0}})
+        parent_path = self.write("parent.json",
+                                 results_json({"BM_Rate": 1000.0}))
+        proc, baseline_path = self.run_gate(
+            results_json({"BM_Rate": 700.0}), baseline, "--update",
+            "--against", parent_path)
+        self.assertEqual(proc.returncode, 2, proc.stdout)
+        with open(baseline_path) as handle:
+            self.assertEqual(json.load(handle), baseline)
 
     def test_missing_benchmark_fails(self):
         baseline = baseline_json(
