@@ -34,6 +34,10 @@
  *   --verbose     enable inform()/warn() logging + sweep progress
  *   PAGES         bare positional working-set size (backward compat)
  *
+ * A binary may take one more flag with a fixed set of values (an
+ * ExtraFlag, e.g. the ablations' --preset smoke|full); the others
+ * reject it as an unknown argument.
+ *
  * Tracing and sampling are observational: enabling them changes what a
  * run *records*, never what it computes — the printed tables are
  * byte-identical with or without these flags (tests/test_trace.cc).
@@ -66,6 +70,14 @@ namespace bench {
 
 inline constexpr std::uint64_t kDefaultWssPages = 32768;
 
+/** A flag only some binaries take: its name, its '|'-separated
+ *  choices and its value when absent. */
+struct ExtraFlag {
+    const char *name;
+    const char *choices;
+    const char *fallback;
+};
+
 /** Options shared by every bench binary. */
 struct BenchOptions {
     std::uint64_t wssPages = kDefaultWssPages;
@@ -94,21 +106,29 @@ struct BenchOptions {
     std::uint32_t shards = 1;
     /** Region decomposition (--shard-regions); 0 = match shards. */
     std::uint32_t shardRegions = 0;
+    /** The binary's ExtraFlag value (or its default); empty without
+     *  one. */
+    std::string extra;
 };
 
 /** Exit status for malformed spec-valued flags (vs. 1 for fatals). */
 inline constexpr int kBadSpecExit = 2;
+
+/** Print a bad-invocation diagnostic and exit(2). */
+[[noreturn]] inline void
+badSpec(const std::string &message)
+{
+    std::fprintf(stderr, "error: %s\n", message.c_str());
+    std::exit(kBadSpecExit);
+}
 
 /** Unwrap a spec result or print its diagnostic and exit(2). */
 template <typename T>
 inline T
 specValueOrDie(SpecResult<T> result)
 {
-    if (!result) {
-        std::fprintf(stderr, "error: %s\n",
-                     result.error().render().c_str());
-        std::exit(kBadSpecExit);
-    }
+    if (!result)
+        badSpec(result.error().render());
     return std::move(*result);
 }
 
@@ -144,14 +164,17 @@ printUsage(const char *argv0)
 }
 
 /**
- * Parse the shared bench argv. The first bare non-flag argument is the
- * working-set size in pages, as it always was.
+ * Parse the shared bench argv, plus `extra` when the binary takes one.
+ * The first bare non-flag argument is the working-set size in pages,
+ * as it always was.
  */
 inline BenchOptions
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv, const ExtraFlag *extra = nullptr)
 {
     setLogVerbose(false);
     BenchOptions opt;
+    if (extra)
+        opt.extra = extra->fallback;
     bool saw_positional = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -190,12 +213,9 @@ parseBenchArgs(int argc, char **argv)
                 specValueOrDie(parseSpecDouble(next(), 0.0, 1e9));
         } else if (arg == "--arrival") {
             const std::string name = next();
-            if (!ArrivalProcess::known(name)) {
-                std::fprintf(stderr,
-                             "error: unknown --arrival '%s' (want %s)\n",
-                             name.c_str(), ArrivalProcess::knownNames());
-                std::exit(kBadSpecExit);
-            }
+            if (!ArrivalProcess::known(name))
+                badSpec("unknown --arrival '" + name + "' (want " +
+                        ArrivalProcess::knownNames() + ")");
             opt.openLoop.arrival = name;
         } else if (arg == "--slo") {
             opt.openLoop.sloP99Us =
@@ -206,6 +226,14 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--shard-regions") {
             opt.shardRegions = static_cast<std::uint32_t>(
                 parseCount("--shard-regions", next()));
+        } else if (extra && arg == extra->name) {
+            opt.extra = next();
+            const std::string choices =
+                std::string("|").append(extra->choices).append("|");
+            if (choices.find(std::string("|").append(opt.extra).append(
+                    "|")) == std::string::npos)
+                tpp_fatal("%s expects %s, got '%s'", extra->name,
+                          extra->choices, opt.extra.c_str());
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -234,8 +262,7 @@ makeConfig(const BenchOptions &opt)
         cfg.sampleSeries = true;
         cfg.samplePeriod = opt.sampleMs * kMillisecond;
     }
-    for (const auto &assignment : opt.sysctls)
-        cfg.sysctls.push_back(assignment);
+    cfg.sysctls = opt.sysctls;
     if (!opt.tenantsSpec.empty())
         cfg.tenants = specValueOrDie(parseTenants(opt.tenantsSpec));
     cfg.topology = opt.topologySpec;
@@ -256,11 +283,8 @@ makeConfig(const BenchOptions &opt)
     // assembled) here, with the spec-flag exit status, instead of
     // fataling mid-run: scripts can tell "bad invocation" from a
     // simulator failure.
-    if (SpecResult<void> valid = cfg.validate(); !valid) {
-        std::fprintf(stderr, "error: %s\n",
-                     valid.error().render().c_str());
-        std::exit(kBadSpecExit);
-    }
+    if (SpecResult<void> valid = cfg.validate(); !valid)
+        badSpec(valid.error().render());
     return cfg;
 }
 
