@@ -21,19 +21,16 @@ void
 runGrid(const Grid &grid, Run &run)
 {
     // Per case: the all-local baseline, then one tiered arm per policy,
-    // each a row compared against that baseline.
+    // each a row compared against that baseline. The baseline is the
+    // paper's "all from local" machine (allLocalTwin): the workload alone
+    // on one local node under default Linux, closed loop, without the
+    // run-wide sysctls, telemetry or tenants of the tiered arms.
     Configs cfgs;
     std::vector<Row> rows;
     for (const Case &c : grid.cases) {
         const std::size_t baseline = cfgs.size();
-        ExperimentConfig base = makeConfig(run.opt);
-        base.workload = c.workload;
-        base.allLocal = true;
-        // The baseline is the canned all-local box even when --topology
-        // reshapes the comparison runs.
-        base.topology.clear();
-        base.policy = "linux";
-        cfgs.push_back(base);
+        cfgs.push_back(allLocalTwin(
+            tieredConfig(run.opt, c.workload, "linux", c.ratio)));
         for (const char *policy : grid.policies) {
             std::vector<std::string> cells;
             for (const std::string &h : grid.header) {
