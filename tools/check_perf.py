@@ -21,8 +21,14 @@ re-baselining. Output uses GitHub workflow commands (::error:: /
 Re-baselining (after an intentional perf change, on the CI runner
 class the baseline documents):
 
-    bench/micro_mm_ops --benchmark_format=json > results.json
+    bench/micro_mm_ops --benchmark_format=json \
+        --benchmark_repetitions=3 > results.json
     tools/check_perf.py results.json bench/perf_baseline.json --update
+
+Single runs of the same binary differ by 10% and more on a shared host,
+so run the benchmarks with --benchmark_repetitions=N: each counter is
+judged by its median over the N iteration rows that share a benchmark
+name (in the results, the --against parent run and --update alike).
 
 Pins taken on another machine class say little about this one. To judge
 a change on one host, run micro_mm_ops from the parent tree and from
@@ -41,25 +47,29 @@ Usage:
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_counters(results):
-    """Map benchmark name -> counters dict, skipping aggregate rows."""
-    counters = {}
+    """Map benchmark name -> counters dict, each counter the median over
+    the iteration rows of that name (one per repetition). Aggregate rows
+    (google-benchmark's own _mean/_median/...) are skipped."""
+    samples = {}
     for bench in results.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         name = bench.get("name")
         if name is None:
             continue
-        row = {
-            key: value
-            for key, value in bench.items()
-            if isinstance(value, (int, float))
-        }
-        counters[name] = row
-    return counters
+        row = samples.setdefault(name, {})
+        for key, value in bench.items():
+            if isinstance(value, (int, float)):
+                row.setdefault(key, []).append(value)
+    return {
+        name: {key: statistics.median(values) for key, values in row.items()}
+        for name, row in samples.items()
+    }
 
 
 def main():

@@ -4,8 +4,9 @@
 Covers the counter-direction handling — a rate counter (pages/sec,
 higher is better) must fail the gate when it drops and pass when it
 rises, a cost counter (direction "lower", e.g. ns/window) the other
-way around — plus --update re-baselining and --against, the
-comparison with a parent run from the same host.
+way around — plus --update re-baselining, --against, the
+comparison with a parent run from the same host, and the median over
+repeated runs of one benchmark.
 """
 
 import json
@@ -27,6 +28,20 @@ def results_json(value_by_name):
             for name, value in value_by_name.items()
         ]
     }
+
+
+def repeated_results_json(values_by_name):
+    """The same with one iteration row per repetition, plus the
+    aggregate rows google-benchmark appends (which the gate skips)."""
+    rows = []
+    for name, values in values_by_name.items():
+        rows += [{"name": name, "run_type": "iteration",
+                  "repetition_index": i, "counter": value}
+                 for i, value in enumerate(values)]
+        rows.append({"name": name + "_mean", "run_type": "aggregate",
+                     "aggregate_name": "mean",
+                     "counter": sum(values) / len(values)})
+    return {"benchmarks": rows}
 
 
 def baseline_json(spec_by_name):
@@ -176,6 +191,48 @@ class CheckPerfTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 2, proc.stdout)
         with open(baseline_path) as handle:
             self.assertEqual(json.load(handle), baseline)
+
+    def test_median_inside_the_bound_passes(self):
+        # One repetition 40% down, but the median is 2% down: the gate
+        # judges the median, not the last or worst row.
+        baseline = baseline_json(
+            {"BM_Rate": {"counter": "counter", "value": 1000.0}})
+        proc, _ = self.run_gate(
+            repeated_results_json({"BM_Rate": [1000.0, 980.0, 600.0]}),
+            baseline)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertNotIn("::warning::", proc.stdout)
+        self.assertIn("980", proc.stdout)
+
+    def test_median_past_the_bound_fails(self):
+        # The last repetition matches the pin, but the median is 30%
+        # down.
+        baseline = baseline_json(
+            {"BM_Rate": {"counter": "counter", "value": 1000.0}})
+        proc, _ = self.run_gate(
+            repeated_results_json({"BM_Rate": [700.0, 650.0, 1000.0]}),
+            baseline)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("::error::perf gate: BM_Rate", proc.stdout)
+
+    def test_update_and_against_take_medians(self):
+        baseline = baseline_json(
+            {"BM_Rate": {"counter": "counter", "value": 1.0}})
+        proc, baseline_path = self.run_gate(
+            repeated_results_json({"BM_Rate": [900.0, 1000.0, 1200.0]}),
+            baseline, "--update")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        with open(baseline_path) as handle:
+            updated = json.load(handle)
+        self.assertEqual(updated["counters"]["BM_Rate"]["value"], 1000.0)
+        parent_path = self.write(
+            "parent.json",
+            repeated_results_json({"BM_Rate": [1000.0, 1010.0, 100.0]}))
+        proc, _ = self.run_gate(
+            repeated_results_json({"BM_Rate": [990.0, 980.0, 2000.0]}),
+            baseline, "--against", parent_path)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertNotIn("::warning::", proc.stdout)
 
     def test_missing_benchmark_fails(self):
         baseline = baseline_json(
