@@ -204,7 +204,7 @@ void
 hotnessSources(Run &run)
 {
     // Per workload: the four sources through the hotness policy, then
-    // stock TPP as the reference.
+    // stock TPP (the empty source) as the reference.
     const std::vector<std::string> sources = {"hintfault", "damon",
                                               "chameleon", "neoprof", ""};
     const std::vector<const char *> workloads = {"cache1", "web"};

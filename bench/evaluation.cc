@@ -5,9 +5,10 @@
  *
  * Five of them are one grid: workloads at a local:CXL ratio, one tiered
  * arm per placement policy, each reported against the same workload on
- * the all-local machine. They are data for gridFigure(). The two §6.3
- * ablations (Figures 17 and 18) compare two TPP variants on Cache1 at
- * 1:4 and keep their own reports.
+ * the all-local machine. Their table entries hold a Grid, which
+ * gridBody() sweeps and prints. The two §6.3 ablations (Figures 17 and
+ * 18) compare two TPP variants on Cache1 at 1:4 and keep their own
+ * reports.
  */
 
 #include "figures.hh"
