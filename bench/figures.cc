@@ -61,14 +61,14 @@ metricCell(const std::string &header, const ExperimentResult &res,
         {"tunes", Vm::AdaptiveTune},
         {"reverts", Vm::AdaptiveRevert},
     };
-    static const std::map<std::string, double ExperimentResult::*> shares =
-        {
-            {"local traffic", &ExperimentResult::localTrafficShare},
-            {"cxl traffic", &ExperimentResult::cxlTrafficShare},
-            {"anon on local", &ExperimentResult::anonLocalResidency},
-            {"file on local", &ExperimentResult::fileLocalResidency},
-            {"hot-set recall", &ExperimentResult::hotSetRecall},
-        };
+    using Share = double ExperimentResult::*;
+    static const std::map<std::string, Share> shares = {
+        {"local traffic", &ExperimentResult::localTrafficShare},
+        {"cxl traffic", &ExperimentResult::cxlTrafficShare},
+        {"anon on local", &ExperimentResult::anonLocalResidency},
+        {"file on local", &ExperimentResult::fileLocalResidency},
+        {"hot-set recall", &ExperimentResult::hotSetRecall},
+    };
     const VmStat &vm = res.vmstat;
     if (const auto it = counters.find(header); it != counters.end())
         return TextTable::count(vm.get(it->second));
