@@ -9,10 +9,11 @@
  * a configurable footprint (TPP_E2E_PAGES, default 2^18 pages) and
  * report pages/sec rate counters. Together with the pages_per_sec
  * counters on the fault, reclaim-scan and LRU-surgery benchmarks, the
- * accesses_per_sec counters on the resident access and on one cache1
- * workload batch (the layer that dominates figure runs), the Zipf
- * draw and short-lived-distribution rates, and the requests_per_sec of
- * an open-loop service run, they feed the CI perf gate:
+ * accesses_per_sec counters on the resident access (bare and with one
+ * access tap attached) and on one cache1 workload batch (the layer
+ * that dominates figure runs), the Zipf draw and short-lived
+ * distribution rates, and the requests_per_sec of an open-loop service
+ * run, they feed the CI perf gate:
  *
  *     micro_mm_ops --benchmark_format=json > out.json
  *     tools/check_perf.py out.json bench/perf_baseline.json
@@ -112,13 +113,16 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+/** Loads of 1024 resident pages in turn, seen by `tap` when set. */
 void
-BM_AccessResident(benchmark::State &state)
+accessResident(benchmark::State &state, KernelAccessTap *tap)
 {
     Machine m;
     const Vpn base = m.kernel.mmap(m.asid, 1024, PageType::Anon, "bench");
     for (Vpn v = 0; v < 1024; ++v)
         m.kernel.access(m.asid, base + v, AccessKind::Store, 0);
+    if (tap)
+        m.kernel.addAccessTap(*tap);
     Vpn v = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -129,7 +133,29 @@ BM_AccessResident(benchmark::State &state)
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
+
+void
+BM_AccessResident(benchmark::State &state)
+{
+    accessResident(state, nullptr);
+}
 BENCHMARK(BM_AccessResident);
+
+/** The cheapest access tap: it counts what the kernel reports. */
+struct CountingTap final : KernelAccessTap {
+    std::uint64_t accesses = 0;
+    void onKernelAccess(const AccessEvent &) override { accesses++; }
+};
+
+/** BM_AccessResident with one tap attached, as a hot-set count runs. */
+void
+BM_AccessResidentSink(benchmark::State &state)
+{
+    CountingTap tap;
+    accessResident(state, &tap);
+    benchmark::DoNotOptimize(tap.accesses);
+}
+BENCHMARK(BM_AccessResidentSink);
 
 void
 BM_SyntheticBatch(benchmark::State &state)

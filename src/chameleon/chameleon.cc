@@ -41,6 +41,12 @@ Chameleon::Chameleon(Kernel &kernel, ChameleonConfig cfg)
         64 % cfg_.bitsPerInterval != 0) {
         tpp_fatal("bitsPerInterval must divide 64 and be in [1, 8]");
     }
+    kernel_.addAccessTap(*this);
+}
+
+Chameleon::~Chameleon()
+{
+    kernel_.removeAccessTap(*this);
 }
 
 bool
@@ -56,23 +62,17 @@ Chameleon::samplingLive(Tick tick) const
 }
 
 void
-Chameleon::onAccess(const AccessRecord &record)
+Chameleon::onKernelAccess(const AccessEvent &event)
 {
     totalEvents_++;
-    if (!samplingLive(record.tick))
+    if (!samplingLive(event.tick))
         return;
     // PMU counter overflow every samplePeriod events.
     if (++eventCounter_ < cfg_.samplePeriod)
         return;
     eventCounter_ = 0;
     totalSamples_++;
-    tables_[currentTable_][pageKey(record.asid, record.vpn)]++;
-}
-
-AccessObserver
-Chameleon::observer()
-{
-    return [this](const AccessRecord &record) { onAccess(record); };
+    tables_[currentTable_][pageKey(event.asid, event.vpn)]++;
 }
 
 void

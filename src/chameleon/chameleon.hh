@@ -6,9 +6,10 @@
  * events" are the simulated access stream. The structure mirrors the
  * paper's Figure 6:
  *
- *  - the Sampler models PEBS: it sees every access, emits one record
- *    every `samplePeriod` events, and duty-cycles across core groups
- *    (sampling is only live for one group's time slice at a time);
+ *  - the Sampler models PEBS: it sees every access (it is a kernel
+ *    access tap), emits one record every `samplePeriod` events, and
+ *    duty-cycles across core groups (sampling is only live for one
+ *    group's time slice at a time);
  *  - the Collector double-buffers sampled records into one of two hash
  *    tables, swapping them every interval;
  *  - the Worker turns the retired table into per-page 64-bit activity
@@ -25,8 +26,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mm/access_tap.hh"
 #include "sim/types.hh"
-#include "workloads/workload.hh"
 
 namespace tpp {
 
@@ -85,16 +86,17 @@ struct ChameleonIntervalStats {
 };
 
 /**
- * The profiler facade: attach its observer() to a workload, start() it,
- * and read interval statistics afterwards.
+ * The profiler facade: constructing it attaches it to the kernel's
+ * access taps; start() it and read interval statistics afterwards.
  */
-class Chameleon
+class Chameleon : public KernelAccessTap
 {
   public:
     Chameleon(Kernel &kernel, ChameleonConfig cfg = {});
+    ~Chameleon() override;
 
-    /** Observer to install on the workload under study. */
-    AccessObserver observer();
+    /** The Sampler: one access event. */
+    void onKernelAccess(const AccessEvent &event) override;
 
     /** Schedule the interval timer; call once. */
     void start();
@@ -147,7 +149,6 @@ class Chameleon
         PageType type = PageType::Anon;
     };
 
-    void onAccess(const AccessRecord &record);
     void intervalTick();
     bool samplingLive(Tick tick) const;
 

@@ -11,7 +11,6 @@
 #include "harness/shard.hh"
 #include "harness/sweep.hh"
 #include "harness/thread_pool.hh"
-#include "hotness/hotness_policy.hh"
 #include "policy/adaptive/adaptive_policy.hh"
 #include "mem/node.hh"
 #include "mm/kernel.hh"
@@ -589,8 +588,31 @@ struct Tenant {
 };
 
 /**
+ * The hot-set ground truth of cfg.measureHotness: an access tap that
+ * counts each page's accesses from `from` on.
+ */
+struct HotSetCounter final : KernelAccessTap {
+    HotSetCounter(Kernel &kernel, Tick from) : kernel(kernel), from(from)
+    {
+        kernel.addAccessTap(*this);
+    }
+    ~HotSetCounter() override { kernel.removeAccessTap(*this); }
+
+    void
+    onKernelAccess(const AccessEvent &event) override
+    {
+        if (event.tick >= from)
+            counts(event.asid, event.vpn)++;
+    }
+
+    Kernel &kernel;
+    const Tick from;
+    PageSlots<std::uint64_t> counts;
+};
+
+/**
  * One region stack: an event queue, a machine and a kernel, its
- * tenants' workloads and drivers, and the observers that watch them.
+ * tenants' workloads and drivers, and the taps that watch them.
  * Regions share nothing, so several can step side by side between
  * epoch barriers. Members die in reverse order, so every driver and
  * workload is gone before the kernel it ran on.
@@ -601,15 +623,14 @@ struct Region {
     Kernel kernel;
     std::unique_ptr<TimeSeriesSampler> sampler;
     std::unique_ptr<Chameleon> chameleon;
-    /** Window access count per page, cfg.measureHotness. */
-    PageSlots<std::uint64_t> trueCounts;
+    std::unique_ptr<HotSetCounter> hotSet;
     std::vector<Tenant> tenants;
     std::unique_ptr<AdaptiveSloFeed> sloFeed;
 
     /**
      * Build the stack. Same-tick events fire in insertion order, so the
      * order below is part of the results: telemetry, cgroups, sysctls,
-     * observers, workloads and drivers, then the SLO feed.
+     * access taps, workloads and drivers, then the SLO feed.
      */
     Region(const ExperimentConfig &cfg, std::vector<TenantPlan> plan)
         : mem(machineConfig(cfg, regionPages(cfg, plan))),
@@ -660,39 +681,12 @@ struct Region {
                           value.c_str());
         }
 
-        // Workload-side observers. Up to three consumers may want the
-        // access stream (the optional Chameleon profiler, a hotness
-        // source modelling a user-space profiler, and the hot-set
-        // ground truth); the single observer slot gets a fan-out lambda
-        // only when more than one is live, so the common
-        // single-consumer path stays flat.
-        std::vector<AccessObserver> observers;
-        if (cfg.withChameleon) {
+        // Access taps beside the policy's own (a hotness source's
+        // profiler or device): each attaches itself to the kernel.
+        if (cfg.withChameleon)
             chameleon = std::make_unique<Chameleon>(kernel, cfg.chameleon);
-            observers.push_back(chameleon->observer());
-        }
-        if (auto *hotness =
-                dynamic_cast<HotnessPolicy *>(&kernel.policy())) {
-            if (AccessObserver observer = hotness->accessObserver())
-                observers.push_back(std::move(observer));
-        }
-        if (cfg.measureHotness) {
-            const Tick from = cfg.measureFrom;
-            observers.push_back([this, from](const AccessRecord &r) {
-                if (r.tick < from)
-                    return;
-                trueCounts(r.asid, r.vpn)++;
-            });
-        }
-        AccessObserver observer;
-        if (observers.size() == 1) {
-            observer = std::move(observers.front());
-        } else if (observers.size() > 1) {
-            observer = [observers](const AccessRecord &r) {
-                for (const AccessObserver &each : observers)
-                    each(r);
-            };
-        }
+        if (cfg.measureHotness)
+            hotSet = std::make_unique<HotSetCounter>(kernel, cfg.measureFrom);
 
         DriverConfig driver_cfg;
         driver_cfg.runUntil = cfg.runUntil;
@@ -704,8 +698,6 @@ struct Region {
             tenant.workload = WorkloadRegistry::instance().make(
                 WorkloadSpec{spec.workload, spec.wssPages, tenant.plan.seed});
             tenant.workload->setTaskNode(mem.tiers().toptierNodes().front());
-            if (observer)
-                tenant.workload->setObserver(observer);
             driver_cfg.openLoop = spec.openLoop;
             driver_cfg.openLoopSeed = arrivalSeed(tenant.plan.seed);
             tenant.driver = std::make_unique<WorkloadDriver>(
@@ -1019,7 +1011,7 @@ harvestHotSet(const Region &region, ExperimentResult &result)
     // a total order.
     using Entry = std::pair<std::uint64_t, std::uint64_t>;
     std::vector<std::vector<Entry>> ranked(region.tenants.size());
-    region.trueCounts.forEach(
+    region.hotSet->counts.forEach(
         [&](Asid asid, Vpn vpn, std::uint64_t count) {
             if (count == 0)
                 return;

@@ -20,6 +20,7 @@ ChameleonSource::attach(Kernel &kernel)
     chameleon.bitsPerInterval = 4;
     chameleon.dutyCycle = false;
     chameleon.samplePeriod = 64;
+    // The profiler taps the kernel's access stream itself.
     chameleon_ = std::make_unique<Chameleon>(kernel, chameleon);
 }
 
@@ -27,12 +28,6 @@ void
 ChameleonSource::start()
 {
     chameleon_->start();
-}
-
-AccessObserver
-ChameleonSource::observer()
-{
-    return chameleon_->observer();
 }
 
 double

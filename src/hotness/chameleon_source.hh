@@ -33,7 +33,6 @@ class ChameleonSource : public HotnessSource
 
     double temperature(Pfn pfn) const override;
     std::vector<HotPage> extractHot(std::uint64_t max_pages) override;
-    AccessObserver observer() override;
 
     const Chameleon &chameleon() const { return *chameleon_; }
 

@@ -46,9 +46,6 @@ class HotnessPolicy : public TppPolicy
     const HotnessConfig &hotnessConfig() const { return hcfg_; }
     std::uint64_t epochs() const { return epochs_; }
 
-    /** Workload observer the active source needs, or nullptr. */
-    AccessObserver accessObserver() { return source_->observer(); }
-
   private:
     void epochTick();
 

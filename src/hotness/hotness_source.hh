@@ -18,6 +18,10 @@
  *                        threshold auto-tuned per epoch from the
  *                        local tier's free headroom.
  *
+ * A source that watches the access stream (chameleon, neoprof) adds a
+ * tap to the kernel's one access-event pipe (mm/access_tap.hh) when it
+ * attaches; the hint-fault source is fed by its policy instead.
+ *
  * The consumer contract: every epochPeriod the owning policy calls
  * advanceEpoch() (decay, histogram rebuild, threshold retune), then
  * extractHot(k) for up to k CXL-resident pages, hottest first, which it
@@ -36,7 +40,6 @@
 
 #include "mm/policy_params.hh"
 #include "sim/types.hh"
-#include "workloads/workload.hh"
 
 namespace tpp {
 
@@ -88,13 +91,6 @@ class HotnessSource
 
     /** True when this source needs NUMA-hint sampling to run. */
     virtual bool wantsHintFaults() const { return false; }
-
-    /**
-     * Workload-side observer to install, or nullptr. Sources modelling
-     * user-space profilers (Chameleon) watch the reference stream here;
-     * device-side sources use the kernel access tap instead.
-     */
-    virtual AccessObserver observer() { return nullptr; }
 
   protected:
     /** @return true when `pfn` maps a live page on a CXL node. */

@@ -7,25 +7,30 @@
 
 namespace tpp {
 
+NeoProfSource::~NeoProfSource()
+{
+    if (kernel_)
+        kernel_->removeAccessTap(*this);
+}
+
 void
 NeoProfSource::attach(Kernel &kernel)
 {
     HotnessSource::attach(kernel);
     threshold_ = std::max<double>(1.0, static_cast<double>(cfg_.hotThreshold));
-    kernel.setAccessTap(this);
+    kernel.addAccessTap(*this);
 }
 
 void
-NeoProfSource::onKernelAccess(const PageFrame &frame, NodeId task_nid,
-                              Tick now)
+NeoProfSource::onKernelAccess(const AccessEvent &event)
 {
-    (void)task_nid;
-    (void)now;
     // The device only snoops the CXL link: toptier traffic never
     // reaches it, which is what makes the counters free for the CPU.
-    if (kernel_->mem().tiers().isToptier(frame.nid))
+    // An access that found no frame (OOM) crossed no link at all.
+    if (event.pfn == kInvalidPfn ||
+        kernel_->mem().tiers().isToptier(event.nid))
         return;
-    track(frame.pfn);
+    track(event.pfn);
 }
 
 void

@@ -38,17 +38,18 @@ class NeoProfSource : public HotnessSource, public KernelAccessTap
     static constexpr std::uint32_t kHistogramBuckets = 32;
 
     explicit NeoProfSource(const HotnessConfig &cfg) : cfg_(cfg) {}
+    ~NeoProfSource() override;
 
     std::string name() const override { return "neoprof"; }
 
+    /** Also attaches the device to the kernel's access taps. */
     void attach(Kernel &kernel) override;
 
     double temperature(Pfn pfn) const override;
     std::vector<HotPage> extractHot(std::uint64_t max_pages) override;
     void advanceEpoch() override;
 
-    void onKernelAccess(const PageFrame &frame, NodeId task_nid,
-                        Tick now) override;
+    void onKernelAccess(const AccessEvent &event) override;
 
     double hotThreshold() const { return threshold_; }
     std::size_t trackedPages() const { return table_.size(); }

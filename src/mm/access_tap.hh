@@ -1,20 +1,22 @@
 /**
  * @file
- * Device-side access observation hook.
+ * The access-event pipe: the one interface through which anything
+ * watches the access stream.
  *
- * A KernelAccessTap sees every resolved memory access on the physical
- * side — the frame actually served, after fault handling and hint-fault
- * processing. It models hardware that sits on the memory path (NeoMem's
- * CXL-device counter engine), as opposed to the workload-side
- * AccessObserver which models user-space profilers seeing virtual
- * references.
+ * Kernel::access reports every access, once, to each attached
+ * KernelAccessTap as soon as it knows the frame that serves it: after
+ * fault and hint-fault handling, before the frame's bandwidth,
+ * referenced/dirty and traffic accounting. The record carries both
+ * views of the access: the virtual reference a user-space profiler
+ * samples (Chameleon, a trace recorder, the harness's hot-set
+ * counter) and the frame that serves it, which a device on the memory
+ * path sees (NeoMem's CXL counter engine). An access that failed to
+ * get a frame (OOM) is still reported, with invalid frame fields.
  *
- * The interface lives in src/mm so the Kernel can carry a null-gated
- * pointer without depending on src/hotness; implementations must only
- * observe simulation state, never steer it — with the tap detached the
- * simulation is bit-identical (the golden fingerprints in
- * tests/test_migration_compat.cc pin this down for the default
- * configuration).
+ * The interface lives in src/mm so every consumer depends on the
+ * kernel alone. A tap only records what it is told; it must not touch
+ * the page, so attaching one never changes what the access path does.
+ * With no tap attached the access path tests one empty list.
  */
 
 #ifndef TPP_MM_ACCESS_TAP_HH
@@ -24,21 +26,31 @@
 
 namespace tpp {
 
-struct PageFrame;
+/** One access, as Kernel::access reports it to its taps. */
+struct AccessEvent {
+    Asid asid;
+    Vpn vpn;
+    AccessKind kind;
+    Tick tick;
+    Pfn pfn;    //!< serving frame; kInvalidPfn when the access OOM'd
+    NodeId nid; //!< serving node; kInvalidNode when the access OOM'd
+};
 
-/** Observer of resolved (physical) memory accesses. */
+/** Observer of the kernel's access stream (Kernel::addAccessTap). */
 class KernelAccessTap
 {
   public:
+    KernelAccessTap() = default;
+    /** The kernel holds a tap by its address, so a tap stays put. */
+    KernelAccessTap(const KernelAccessTap &) = delete;
+    KernelAccessTap &operator=(const KernelAccessTap &) = delete;
     virtual ~KernelAccessTap() = default;
 
     /**
-     * One access served by `frame`, issued by a task on `task_nid` at
-     * simulated time `now`. Called after fault and hint-fault handling,
-     * so `frame` is the frame that actually satisfied the access.
+     * One access. The frame fields name the frame that serves it,
+     * after any migration its hint fault triggered.
      */
-    virtual void onKernelAccess(const PageFrame &frame, NodeId task_nid,
-                                Tick now) = 0;
+    virtual void onKernelAccess(const AccessEvent &event) = 0;
 };
 
 } // namespace tpp

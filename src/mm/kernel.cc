@@ -275,6 +275,8 @@ Kernel::accessSlow(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
         latency += faultIn(as, vpn, pte, task_nid, res);
         if (res.oom) {
             res.latencyNs = latency;
+            notifyTaps(
+                {asid, vpn, kind, eq_.now(), kInvalidPfn, kInvalidNode});
             return res;
         }
     }
@@ -301,7 +303,8 @@ Kernel::accessSlow(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
     }
 
     PageFrame &frame = mem_.frame(pte.pfn);
-    latency += serveAccess(frame, kind, task_nid);
+    notifyTaps({asid, vpn, kind, eq_.now(), pte.pfn, frame.nid});
+    latency += serveAccess(frame, kind);
     res.servedBy = frame.nid;
     res.latencyNs = latency;
     return res;

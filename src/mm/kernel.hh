@@ -131,12 +131,12 @@ class Kernel
     const MemcgController &memcg() const { return memcg_; }
 
     /**
-     * Attach a device-side access tap (mm/access_tap.hh); nullptr
-     * detaches. The tap observes every resolved access; with no tap the
-     * access path is unchanged.
+     * Attach `tap` (mm/access_tap.hh): from now on it sees every
+     * access once, in attach order with the other taps. A tap detaches
+     * itself before it dies; detaching an unattached tap is a no-op.
      */
-    void setAccessTap(KernelAccessTap *tap) { accessTap_ = tap; }
-    KernelAccessTap *accessTap() const { return accessTap_; }
+    void addAccessTap(KernelAccessTap &tap) { taps_.push_back(&tap); }
+    void removeAccessTap(KernelAccessTap &tap) { std::erase(taps_, &tap); }
 
     LruSet &lru(NodeId nid) { return lrus_[nid]; }
     const LruSet &lru(NodeId nid) const { return lrus_[nid]; }
@@ -174,7 +174,9 @@ class Kernel
      * Defined inline below: a resident page that is neither armed for
      * a hint fault nor under migration takes the fast path, one
      * page-table walk and serveAccess(). Any other page state goes to
-     * accessSlow(), which also owns every bounds check's panic.
+     * accessSlow(), which also owns every bounds check's panic. Both
+     * report the access to the taps just before serveAccess(): after
+     * it, asid, vpn and kind stay live and the inline path is ~10% slower.
      */
     AccessResult access(Asid asid, Vpn vpn, AccessKind kind,
                         NodeId task_nid);
@@ -302,10 +304,17 @@ class Kernel
                    AccessResult &res);
     /**
      * The tail both access paths share, once `frame` serves the
-     * access: node bandwidth accounting, referenced/dirty bits, traffic
-     * counters and the access tap. @return the node's loaded latency.
+     * access: node bandwidth accounting, referenced/dirty bits and
+     * traffic counters. @return the node's loaded latency.
      */
-    double serveAccess(PageFrame &frame, AccessKind kind, NodeId task_nid);
+    double serveAccess(PageFrame &frame, AccessKind kind);
+    /** Report one access to every attached tap. */
+    void
+    notifyTaps(const AccessEvent &event)
+    {
+        for (KernelAccessTap *tap : taps_)
+            tap->onKernelAccess(event);
+    }
 
     // kernel_alloc.cc
     bool nodePassesGate(NodeId nid, WatermarkGate gate) const;
@@ -351,6 +360,8 @@ class Kernel
 
     MemorySystem &mem_;
     EventQueue &eq_;
+    /** Declared before policy_: a policy's taps detach as it dies. */
+    std::vector<KernelAccessTap *> taps_;
     std::unique_ptr<PlacementPolicy> policy_;
     std::unique_ptr<PingPongThrottle> ppt_;
     std::unique_ptr<MigrationEngine> migration_;
@@ -377,7 +388,6 @@ class Kernel
     std::vector<KswapdState> kswapd_;
     std::vector<Pfn> scanCursor_;
 
-    KernelAccessTap *accessTap_ = nullptr;
     bool promotionIgnoresWatermark_ = false;
     bool started_ = false;
 };
@@ -392,8 +402,12 @@ Kernel::access(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
             if (pte.present() && !pte.protNone()) {
                 PageFrame &frame = mem_.frame(pte.pfn);
                 if (!frame.underMigration()) {
+                    if (!taps_.empty()) {
+                        notifyTaps({asid, vpn, kind, eq_.now(), pte.pfn,
+                                    frame.nid});
+                    }
                     AccessResult res;
-                    res.latencyNs = serveAccess(frame, kind, task_nid);
+                    res.latencyNs = serveAccess(frame, kind);
                     res.servedBy = frame.nid;
                     return res;
                 }
@@ -404,7 +418,7 @@ Kernel::access(Asid asid, Vpn vpn, AccessKind kind, NodeId task_nid)
 }
 
 inline double
-Kernel::serveAccess(PageFrame &frame, AccessKind kind, NodeId task_nid)
+Kernel::serveAccess(PageFrame &frame, AccessKind kind)
 {
     const NodeId nid = frame.nid;
     const Tick now = eq_.now();
@@ -426,9 +440,6 @@ Kernel::serveAccess(PageFrame &frame, AccessKind kind, NodeId task_nid)
     NodeTraffic &t = traffic_[nid];
     t.accesses++;
     t.accessesByType[static_cast<std::size_t>(frame.type)]++;
-
-    if (accessTap_)
-        accessTap_->onKernelAccess(frame, task_nid, now);
     return latency;
 }
 

@@ -75,10 +75,6 @@ SyntheticWorkload::issueAccess(Kernel &kernel, Vpn vpn, AccessKind kind,
     const AccessResult res = kernel.access(asid_, vpn, kind, taskNode_);
     result.accesses++;
     result.memLatencyNs += res.latencyNs;
-    if (observer_) {
-        observer_(AccessRecord{asid_, vpn, kind,
-                               kernel.eventQueue().now()});
-    }
     return res.latencyNs;
 }
 

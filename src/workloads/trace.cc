@@ -47,10 +47,6 @@ TraceWorkload::runOps(Kernel &kernel, std::uint64_t ops)
         result.memLatencyNs += res.latencyNs;
         duration += think + res.latencyNs;
         replayed++;
-        if (observer_) {
-            observer_(AccessRecord{asid_, base_ + e.pageIndex, e.kind,
-                                   kernel.eventQueue().now()});
-        }
     }
     result.ops = replayed;
     result.durationNs = std::max(duration, 1.0);

@@ -8,21 +8,19 @@
 
 namespace tpp {
 
-AccessObserver
-TraceRecorder::observer()
+void
+TraceRecorder::onKernelAccess(const AccessEvent &event)
 {
-    return [this](const AccessRecord &record) {
-        if (record.vpn < base_)
-            return; // outside the traced region
-        if (maxEntries_ != 0 && entries_.size() >= maxEntries_) {
-            dropped_++;
-            return;
-        }
-        const std::uint64_t index = record.vpn - base_;
-        entries_.push_back(TraceEntry{index, record.kind});
-        if (index + 1 > regionPages_)
-            regionPages_ = index + 1;
-    };
+    if (event.vpn < base_)
+        return; // outside the traced region
+    if (maxEntries_ != 0 && entries_.size() >= maxEntries_) {
+        dropped_++;
+        return;
+    }
+    const std::uint64_t index = event.vpn - base_;
+    entries_.push_back(TraceEntry{index, event.kind});
+    if (index + 1 > regionPages_)
+        regionPages_ = index + 1;
 }
 
 void

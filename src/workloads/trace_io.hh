@@ -2,9 +2,9 @@
  * @file
  * Trace capture and persistence.
  *
- * TraceRecorder is an AccessObserver that captures a workload's
- * reference stream; saveTrace/loadTrace persist it in a simple text
- * format ("tpp-trace v1"). Together with TraceWorkload this closes the
+ * TraceRecorder is a kernel access tap that captures the reference
+ * stream; saveTrace/loadTrace persist it in a simple text format
+ * ("tpp-trace v1"). Together with TraceWorkload this closes the
  * loop: record any synthetic run, replay it later under a different
  * policy or topology.
  */
@@ -16,29 +16,32 @@
 #include <string>
 #include <vector>
 
+#include "mm/kernel.hh"
 #include "workloads/trace.hh"
-#include "workloads/workload.hh"
 
 namespace tpp {
 
 /**
- * Captures accesses relative to a base vpn.
+ * Captures the accesses of one kernel, relative to a base vpn, from its
+ * construction to its end.
  */
-class TraceRecorder
+class TraceRecorder : public KernelAccessTap
 {
   public:
     /**
+     * @param kernel     the kernel whose accesses to record
      * @param base_vpn   subtracted from every recorded vpn
      * @param max_entries stop recording beyond this many (0 = no cap)
      */
-    explicit TraceRecorder(Vpn base_vpn = 0,
+    explicit TraceRecorder(Kernel &kernel, Vpn base_vpn = 0,
                            std::size_t max_entries = 0)
-        : base_(base_vpn), maxEntries_(max_entries)
+        : kernel_(kernel), base_(base_vpn), maxEntries_(max_entries)
     {
+        kernel_.addAccessTap(*this);
     }
+    ~TraceRecorder() override { kernel_.removeAccessTap(*this); }
 
-    /** Observer to install on the workload. */
-    AccessObserver observer();
+    void onKernelAccess(const AccessEvent &event) override;
 
     const std::vector<TraceEntry> &entries() const { return entries_; }
     std::size_t dropped() const { return dropped_; }
@@ -47,6 +50,7 @@ class TraceRecorder
     std::uint64_t regionPages() const { return regionPages_; }
 
   private:
+    Kernel &kernel_;
     Vpn base_;
     std::size_t maxEntries_;
     std::vector<TraceEntry> entries_;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Abstract workload interface plus the access-observer hook Chameleon
- * uses to watch the reference stream.
+ * Abstract workload interface.
  *
  * A workload runs closed-loop: the driver asks it to execute one batch
  * of application operations against the Kernel, the batch reports how
@@ -9,13 +8,16 @@
  * and the driver schedules the next batch after that much time. The
  * application's throughput therefore *emerges* from page placement —
  * precisely the feedback loop the paper's evaluation measures.
+ *
+ * A workload only issues accesses. Whatever watches them (Chameleon,
+ * the hotness sources, a trace recorder) is one of the kernel's access
+ * taps (mm/access_tap.hh), which see every access Kernel::access takes.
  */
 
 #ifndef TPP_WORKLOADS_WORKLOAD_HH
 #define TPP_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "sim/types.hh"
@@ -23,17 +25,6 @@
 namespace tpp {
 
 class Kernel;
-
-/** One observed reference, as seen by a profiler. */
-struct AccessRecord {
-    Asid asid;
-    Vpn vpn;
-    AccessKind kind;
-    Tick tick;
-};
-
-/** Observer invoked for every access a workload issues. */
-using AccessObserver = std::function<void(const AccessRecord &)>;
 
 /** Outcome of one batch. */
 struct BatchResult {
@@ -84,18 +75,11 @@ class Workload
     /** @return false while an initial warm-up phase is still running. */
     virtual bool warmedUp() const { return true; }
 
-    /** Attach an observer (Chameleon); nullptr detaches. */
-    void setObserver(AccessObserver observer)
-    {
-        observer_ = std::move(observer);
-    }
-
     /** The node whose CPUs execute this workload's threads. */
     NodeId taskNode() const { return taskNode_; }
     void setTaskNode(NodeId nid) { taskNode_ = nid; }
 
   protected:
-    AccessObserver observer_;
     NodeId taskNode_ = 0;
 };
 

@@ -133,10 +133,6 @@ YcsbWorkload::runOps(Kernel &kernel, std::uint64_t ops)
             duration += res.latencyNs;
             result.accesses++;
             result.memLatencyNs += res.latencyNs;
-            if (observer_) {
-                observer_(AccessRecord{asid_, vpn, kind,
-                                       kernel.eventQueue().now()});
-            }
         }
     }
     result.ops = ops;

@@ -13,6 +13,13 @@ namespace {
 
 using test::TestMachine;
 
+/** A load of `vpn` at `tick`; the profiler reads no frame field. */
+AccessEvent
+load(const TestMachine &m, Vpn vpn, Tick tick = 0)
+{
+    return {m.asid, vpn, AccessKind::Load, tick, kInvalidPfn, kInvalidNode};
+}
+
 ChameleonConfig
 everyAccess()
 {
@@ -28,11 +35,10 @@ TEST(Chameleon, SamplePeriodThinsRecords)
     TestMachine m;
     ChameleonConfig cfg = everyAccess();
     cfg.samplePeriod = 10;
-    Chameleon cham(m.kernel, cfg);
-    auto observer = cham.observer();
     const Vpn base = m.populate(1, PageType::Anon);
+    Chameleon cham(m.kernel, cfg);
     for (int i = 0; i < 100; ++i)
-        observer(AccessRecord{m.asid, base, AccessKind::Load, 0});
+        cham.onKernelAccess(load(m, base));
     EXPECT_EQ(cham.totalEvents(), 100u);
     EXPECT_EQ(cham.totalSamples(), 10u);
 }
@@ -44,15 +50,11 @@ TEST(Chameleon, DutyCyclingDropsOffSlices)
     cfg.samplePeriod = 1;
     cfg.numCoreGroups = 4;
     cfg.miniInterval = 10 * kMillisecond;
-    Chameleon cham(m.kernel, cfg);
-    auto observer = cham.observer();
     const Vpn base = m.populate(1, PageType::Anon);
+    Chameleon cham(m.kernel, cfg);
     // One access in every mini-interval over 40 of them.
-    for (int slice = 0; slice < 40; ++slice) {
-        observer(AccessRecord{m.asid, base, AccessKind::Load,
-                              static_cast<Tick>(slice) *
-                                  cfg.miniInterval});
-    }
+    for (int slice = 0; slice < 40; ++slice)
+        cham.onKernelAccess(load(m, base, slice * cfg.miniInterval));
     // Only one in four slices is live.
     EXPECT_EQ(cham.totalSamples(), 10u);
 }
@@ -60,17 +62,16 @@ TEST(Chameleon, DutyCyclingDropsOffSlices)
 TEST(Chameleon, IntervalStatsCountTouchedByType)
 {
     TestMachine m;
-    Chameleon cham(m.kernel, everyAccess());
-    cham.start();
-    auto observer = cham.observer();
     const Vpn anon = m.populate(4, PageType::Anon);
     const Vpn file = m.kernel.mmap(m.asid, 4, PageType::File, "f");
     for (int i = 0; i < 4; ++i)
         m.kernel.access(m.asid, file + i, AccessKind::Load, 0);
+    Chameleon cham(m.kernel, everyAccess());
+    cham.start();
 
     for (int i = 0; i < 3; ++i)
-        observer(AccessRecord{m.asid, anon + i, AccessKind::Load, 0});
-    observer(AccessRecord{m.asid, file, AccessKind::Load, 0});
+        m.kernel.access(m.asid, anon + i, AccessKind::Load, 0);
+    m.kernel.access(m.asid, file, AccessKind::Load, 0);
 
     m.eq.run(150 * kMillisecond); // one interval boundary
     ASSERT_GE(cham.intervals().size(), 1u);
@@ -85,16 +86,15 @@ TEST(Chameleon, IntervalStatsCountTouchedByType)
 TEST(Chameleon, ReaccessGapRecorded)
 {
     TestMachine m;
+    const Vpn base = m.populate(1, PageType::Anon);
     Chameleon cham(m.kernel, everyAccess());
     cham.start();
-    auto observer = cham.observer();
-    const Vpn base = m.populate(1, PageType::Anon);
 
     // Touch in interval 0, stay cold for two intervals, touch again in
     // interval 3.
-    observer(AccessRecord{m.asid, base, AccessKind::Load, m.eq.now()});
+    m.kernel.access(m.asid, base, AccessKind::Load, 0);
     m.eq.run(310 * kMillisecond); // intervals 0,1,2 complete
-    observer(AccessRecord{m.asid, base, AccessKind::Load, m.eq.now()});
+    m.kernel.access(m.asid, base, AccessKind::Load, 0);
     m.eq.run(410 * kMillisecond);
 
     ASSERT_GE(cham.intervals().size(), 4u);
@@ -107,13 +107,12 @@ TEST(Chameleon, ReaccessGapRecorded)
 TEST(Chameleon, AdjacentIntervalGapIsOne)
 {
     TestMachine m;
+    const Vpn base = m.populate(1, PageType::Anon);
     Chameleon cham(m.kernel, everyAccess());
     cham.start();
-    auto observer = cham.observer();
-    const Vpn base = m.populate(1, PageType::Anon);
-    observer(AccessRecord{m.asid, base, AccessKind::Load, m.eq.now()});
+    m.kernel.access(m.asid, base, AccessKind::Load, 0);
     m.eq.run(110 * kMillisecond);
-    observer(AccessRecord{m.asid, base, AccessKind::Load, m.eq.now()});
+    m.kernel.access(m.asid, base, AccessKind::Load, 0);
     m.eq.run(210 * kMillisecond);
     EXPECT_DOUBLE_EQ(cham.reaccessCdf(1), 1.0);
 }
@@ -121,16 +120,13 @@ TEST(Chameleon, AdjacentIntervalGapIsOne)
 TEST(Chameleon, HotFractionAveragesIntervals)
 {
     TestMachine m;
+    const Vpn base = m.populate(10, PageType::Anon);
     Chameleon cham(m.kernel, everyAccess());
     cham.start();
-    auto observer = cham.observer();
-    const Vpn base = m.populate(10, PageType::Anon);
     // Touch 5 of 10 resident pages each interval.
     for (int interval = 0; interval < 3; ++interval) {
-        for (int i = 0; i < 5; ++i) {
-            observer(AccessRecord{m.asid, base + i, AccessKind::Load,
-                                  m.eq.now()});
-        }
+        for (int i = 0; i < 5; ++i)
+            m.kernel.access(m.asid, base + i, AccessKind::Load, 0);
         m.eq.run(m.eq.now() + 100 * kMillisecond);
     }
     EXPECT_NEAR(cham.meanHotFraction(PageType::Anon), 0.5, 0.01);
@@ -151,7 +147,6 @@ TEST(Chameleon, WorksAttachedToWorkload)
     cfg.dutyCycle = false;
     cfg.interval = 50 * kMillisecond;
     Chameleon cham(m.kernel, cfg);
-    wl.setObserver(cham.observer());
     cham.start();
     wl.init(m.kernel);
     while (!wl.done())

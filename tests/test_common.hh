@@ -8,6 +8,7 @@
 #define TPP_TESTS_TEST_COMMON_HH
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -62,6 +63,28 @@ struct TestMachine {
 
     NodeId local() const { return mem.cpuNodes().front(); }
     NodeId cxl() const { return mem.cxlNodes().front(); }
+};
+
+/**
+ * A fake access tap: calls `fn` with every access `kernel` reports
+ * while the tap lives.
+ */
+class ScopedTap : public KernelAccessTap
+{
+  public:
+    using Fn = std::function<void(const AccessEvent &)>;
+
+    ScopedTap(Kernel &kernel, Fn fn) : kernel_(kernel), fn_(std::move(fn))
+    {
+        kernel_.addAccessTap(*this);
+    }
+    ~ScopedTap() override { kernel_.removeAccessTap(*this); }
+
+    void onKernelAccess(const AccessEvent &event) override { fn_(event); }
+
+  private:
+    Kernel &kernel_;
+    Fn fn_;
 };
 
 /** FNV-1a over the eight bytes of `word`, for golden stream hashes. */

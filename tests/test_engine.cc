@@ -3,14 +3,16 @@
  * Engine golden: one fingerprint over every field of ExperimentResult
  * (test::resultFingerprint) for one config per branch of the run
  * engine — the plain single stack, open loop with the adaptive SLO
- * feed, the Chameleon profiler and the observer fan-out, tenants with
- * cgroups, open-loop tenants, shard regions with and without the
- * admission rebalance, explicit topologies with node rows, and the
- * all-local machine.
+ * feed, the Chameleon profiler and several access taps on one kernel,
+ * tenants with cgroups, open-loop tenants, shard regions with and
+ * without the admission rebalance, explicit topologies with node rows,
+ * and the all-local machine.
  *
  * The values were captured before the single-stack, tenant and shard
  * paths were merged into one region engine, and pin that merge: build
  * order, fold arithmetic and harvest must all reproduce them exactly.
+ * They also pin the move of every access consumer onto the kernel's
+ * one access-event pipe (mm/access_tap.hh).
  */
 
 #include <cstdio>
@@ -64,9 +66,9 @@ const EngineCase kCases[] = {
          cfg.samplePeriod = 250 * kMillisecond;
      },
      0x3a2631b6f19cbaf5ULL},
-    // The chameleon hotness source feeds the policy from the workload's
-    // access stream, so with measureHotness two observers share the
-    // workload's slot through the fan-out.
+    // The chameleon hotness source feeds the policy from the access
+    // stream, so with measureHotness two taps (its profiler and the
+    // hot-set counter) share the kernel's access-event pipe.
     {"hotness_chameleon_source_fanout",
      [](ExperimentConfig &cfg) {
          cfg.workload = "cache1";
@@ -76,7 +78,8 @@ const EngineCase kCases[] = {
          cfg.measureHotness = true;
      },
      0x821c0305a0b3d323ULL},
-    // NeoProf taps the kernel's access path instead: one observer.
+    // NeoProf's device counters are a tap on the same pipe, beside the
+    // hot-set counter.
     {"hotness_neoprof",
      [](ExperimentConfig &cfg) {
          cfg.workload = "cache1";

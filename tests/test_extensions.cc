@@ -84,16 +84,15 @@ TEST(ChameleonMultiBit, FrequencyCountsSaturate)
     cfg.interval = 100 * kMillisecond;
     cfg.bitsPerInterval = 4;
     cfg.frequentThreshold = 3;
+    const Vpn base = m.populate(4, PageType::Anon);
     Chameleon cham(m.kernel, cfg);
     EXPECT_EQ(cham.historyIntervals(), 16u);
     cham.start();
-    auto observer = cham.observer();
 
-    const Vpn base = m.populate(4, PageType::Anon);
     // Page 0: 5 samples (frequent); page 1: 1 sample; others: none.
     for (int i = 0; i < 5; ++i)
-        observer(AccessRecord{m.asid, base, AccessKind::Load, 0});
-    observer(AccessRecord{m.asid, base + 1, AccessKind::Load, 0});
+        m.kernel.access(m.asid, base, AccessKind::Load, 0);
+    m.kernel.access(m.asid, base + 1, AccessKind::Load, 0);
     m.eq.run(150 * kMillisecond);
 
     ASSERT_GE(cham.intervals().size(), 1u);
@@ -110,13 +109,12 @@ TEST(ChameleonMultiBit, GapUsesIntervalFields)
     cfg.dutyCycle = false;
     cfg.interval = 100 * kMillisecond;
     cfg.bitsPerInterval = 2;
+    const Vpn base = m.populate(1, PageType::Anon);
     Chameleon cham(m.kernel, cfg);
     cham.start();
-    auto observer = cham.observer();
-    const Vpn base = m.populate(1, PageType::Anon);
-    observer(AccessRecord{m.asid, base, AccessKind::Load, m.eq.now()});
+    m.kernel.access(m.asid, base, AccessKind::Load, 0);
     m.eq.run(210 * kMillisecond); // two interval boundaries
-    observer(AccessRecord{m.asid, base, AccessKind::Load, m.eq.now()});
+    m.kernel.access(m.asid, base, AccessKind::Load, 0);
     m.eq.run(310 * kMillisecond);
     EXPECT_DOUBLE_EQ(cham.reaccessCdf(1), 0.0);
     EXPECT_DOUBLE_EQ(cham.reaccessCdf(2), 1.0);

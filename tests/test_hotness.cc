@@ -353,20 +353,13 @@ TEST(ChameleonSource, ExtractsSampledCxlPages)
     const Vpn vpn = m.kernel.mmap(m.asid, 1, PageType::Anon, "c");
     m.kernel.access(m.asid, vpn, AccessKind::Store, m.cxl());
 
-    // Feed the profiler's observer directly (it is the workload-side
-    // hook the harness installs) — enough events to clear the 1-in-64
-    // sampling period, then cross an interval boundary to fold the
-    // collector table into activity words.
-    AccessObserver observer = source.observer();
-    ASSERT_TRUE(static_cast<bool>(observer));
-    for (int i = 0; i < 256; ++i) {
-        AccessRecord record;
-        record.asid = m.asid;
-        record.vpn = vpn;
-        record.kind = AccessKind::Load;
-        record.tick = m.eq.now();
-        observer(record);
-    }
+    // The source's profiler taps the kernel's access stream: enough
+    // accesses to clear the 1-in-64 sampling period, then cross an
+    // interval boundary to fold the collector table into activity
+    // words.
+    for (int i = 0; i < 256; ++i)
+        m.kernel.access(m.asid, vpn, AccessKind::Load, m.cxl());
+    ASSERT_EQ(source.chameleon().totalEvents(), 257u);
     m.eq.run(m.eq.now() + cfg.epochPeriod + kMillisecond);
 
     EXPECT_GT(source.temperature(m.pte(vpn).pfn), 0.0);

@@ -6,6 +6,7 @@
  */
 
 #include <set>
+#include <vector>
 
 #include "mm/access_tap.hh"
 #include "test_common.hh"
@@ -139,16 +140,16 @@ TEST(KernelFault, TrafficAccounting)
     EXPECT_EQ(m.kernel.traffic(0).accesses, 0u);
 }
 
-/** Counts the accesses the kernel reports to its device tap. */
+/** Counts the accesses the kernel reports to its access taps. */
 struct CountingTap : KernelAccessTap {
     std::uint64_t calls = 0;
     Pfn lastPfn = kInvalidPfn;
 
     void
-    onKernelAccess(const PageFrame &frame, NodeId, Tick) override
+    onKernelAccess(const AccessEvent &event) override
     {
         calls++;
-        lastPfn = frame.pfn;
+        lastPfn = event.pfn;
     }
 };
 
@@ -156,7 +157,7 @@ TEST(KernelFault, ResidentHitAccountsLikeAnyAccess)
 {
     TestMachine m;
     CountingTap tap;
-    m.kernel.setAccessTap(&tap);
+    m.kernel.addAccessTap(tap);
     const Vpn f = m.kernel.mmap(m.asid, 1, PageType::File, "f");
     m.kernel.access(m.asid, f, AccessKind::Load, 0);
     m.frameOf(f).clearFlag(PageFrame::FlagReferenced);
@@ -176,7 +177,57 @@ TEST(KernelFault, ResidentHitAccountsLikeAnyAccess)
               before.accessesByType[static_cast<int>(PageType::File)] + 2);
     EXPECT_EQ(tap.calls, taps_before + 2);
     EXPECT_EQ(tap.lastPfn, m.pte(f).pfn);
-    m.kernel.setAccessTap(nullptr);
+    m.kernel.removeAccessTap(tap);
+}
+
+TEST(KernelFault, TapSeesEveryAccessOnceWithItsFrame)
+{
+    // 64 local frames and one swap slot: storing to 128 anon pages
+    // runs the machine out of memory.
+    MemoryConfig cfg = TopologyBuilder::allLocal(64);
+    cfg.swap.capacityPages = 1;
+    EventQueue eq;
+    MemorySystem mem(cfg);
+    Kernel kernel(mem, eq, std::make_unique<DefaultLinuxPolicy>());
+    kernel.start();
+    const Asid asid = kernel.createProcess();
+    const Vpn base = kernel.mmap(asid, 128, PageType::Anon, "a");
+    std::vector<AccessEvent> events;
+    test::ScopedTap tap(kernel, [&events](const AccessEvent &event) {
+        events.push_back(event);
+    });
+
+    // One store: exactly one event, naming the frame that served it,
+    // and no frame only when the access found none.
+    const auto store = [&](Vpn vpn) {
+        const std::size_t before = events.size();
+        const AccessResult res =
+            kernel.access(asid, vpn, AccessKind::Store, 0);
+        EXPECT_EQ(events.size(), before + 1);
+        const AccessEvent &event = events.back();
+        EXPECT_EQ(event.asid, asid);
+        EXPECT_EQ(event.vpn, vpn);
+        EXPECT_EQ(event.kind, AccessKind::Store);
+        EXPECT_EQ(event.tick, eq.now());
+        if (res.oom) {
+            EXPECT_EQ(event.pfn, kInvalidPfn);
+            EXPECT_EQ(event.nid, kInvalidNode);
+        } else {
+            EXPECT_EQ(event.pfn, kernel.addressSpace(asid).pte(vpn).pfn);
+            EXPECT_EQ(event.nid, mem.frame(event.pfn).nid);
+        }
+        return res;
+    };
+
+    EXPECT_TRUE(store(base).minorFault);
+    const AccessResult hit = store(base);
+    EXPECT_FALSE(hit.minorFault || hit.majorFault || hit.hintFault);
+    ASSERT_EQ(kernel.sampleNode(0, 1), 1u);
+    EXPECT_TRUE(store(base).hintFault);
+    bool oom = false;
+    for (Vpn vpn = base + 1; vpn < base + 128 && !oom; ++vpn)
+        oom = store(vpn).oom;
+    EXPECT_TRUE(oom);
 }
 
 TEST(KernelFault, ResidentHitPaysTheModelLatencyInEveryWindow)

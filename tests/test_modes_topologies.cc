@@ -179,11 +179,14 @@ TEST(Export, JsonContainsCountersAndSamples)
 
 TEST(TraceIo, RecorderCapturesStream)
 {
-    TraceRecorder recorder(100);
-    auto observer = recorder.observer();
-    observer(AccessRecord{0, 105, AccessKind::Load, 0});
-    observer(AccessRecord{0, 100, AccessKind::Store, 0});
-    observer(AccessRecord{0, 50, AccessKind::Load, 0}); // below base
+    TestMachine m;
+    TraceRecorder recorder(m.kernel, 100);
+    const auto access = [&recorder](Vpn vpn, AccessKind kind) {
+        recorder.onKernelAccess({0, vpn, kind, 0, kInvalidPfn, kInvalidNode});
+    };
+    access(105, AccessKind::Load);
+    access(100, AccessKind::Store);
+    access(50, AccessKind::Load); // below base
     ASSERT_EQ(recorder.entries().size(), 2u);
     EXPECT_EQ(recorder.entries()[0].pageIndex, 5u);
     EXPECT_EQ(recorder.entries()[1].pageIndex, 0u);
@@ -192,11 +195,12 @@ TEST(TraceIo, RecorderCapturesStream)
 
 TEST(TraceIo, CapDropsExtras)
 {
-    TraceRecorder recorder(0, 2);
-    auto observer = recorder.observer();
-    for (int i = 0; i < 5; ++i)
-        observer(AccessRecord{0, static_cast<Vpn>(i), AccessKind::Load,
-                              0});
+    TestMachine m;
+    TraceRecorder recorder(m.kernel, 0, 2);
+    for (Vpn vpn = 0; vpn < 5; ++vpn) {
+        recorder.onKernelAccess(
+            {0, vpn, AccessKind::Load, 0, kInvalidPfn, kInvalidNode});
+    }
     EXPECT_EQ(recorder.entries().size(), 2u);
     EXPECT_EQ(recorder.dropped(), 3u);
 }
@@ -219,13 +223,12 @@ TEST(TraceIo, RecordedRunReplaysIdentically)
 {
     // Record a trace from one machine...
     TestMachine src(512, 512);
-    TraceRecorder recorder(0);
+    TraceRecorder recorder(src.kernel);
     std::vector<TraceEntry> script;
     for (int i = 0; i < 200; ++i)
         script.push_back({static_cast<std::uint64_t>((i * 7) % 32),
                           i % 3 ? AccessKind::Load : AccessKind::Store});
     TraceWorkload original(32, script);
-    original.setObserver(recorder.observer());
     original.init(src.kernel);
     while (!original.done())
         original.runBatch(src.kernel);

@@ -159,7 +159,7 @@ TEST(SyntheticWorkload, ObserverSeesEveryAccess)
     TestMachine m(2048, 2048);
     SyntheticWorkload wl(tinyProfile());
     std::uint64_t observed = 0;
-    wl.setObserver([&](const AccessRecord &) { observed++; });
+    test::ScopedTap tap(m.kernel, [&](const AccessEvent &) { observed++; });
     wl.init(m.kernel);
     const BatchResult res = wl.runBatch(m.kernel);
     EXPECT_EQ(observed, res.accesses);
@@ -198,9 +198,9 @@ expectStreamGoldenAt(const WorkloadProfile &profile,
     TestMachine m(wss_pages / 4, wss_pages, std::make_unique<TppPolicy>());
     SyntheticWorkload wl(profile);
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    wl.setObserver([&hash](const AccessRecord &r) {
-        hash = fnv1a(hash, r.vpn);
-        hash = fnv1a(hash, static_cast<std::uint64_t>(r.kind));
+    test::ScopedTap tap(m.kernel, [&hash](const AccessEvent &e) {
+        hash = fnv1a(hash, e.vpn);
+        hash = fnv1a(hash, static_cast<std::uint64_t>(e.kind));
     });
     wl.init(m.kernel);
     BatchResult totals;
@@ -573,9 +573,11 @@ TEST(SyntheticWorkloadDeathTest, ClockMovingInsideABatchPanics)
     setLogVerbose(false);
     TestMachine m(2048, 2048);
     SyntheticWorkload wl(tinyProfile());
-    // An observer stands in for anything that would step the clock
+    // An access tap stands in for anything that would step the clock
     // between two accesses of one batch.
-    wl.setObserver([&m](const AccessRecord &) { m.eq.run(m.eq.now() + 1); });
+    test::ScopedTap tap(m.kernel, [&m](const AccessEvent &) {
+        m.eq.run(m.eq.now() + 1);
+    });
     wl.init(m.kernel);
     EXPECT_DEATH(wl.runBatch(m.kernel), "simulated time moved");
 }

@@ -34,6 +34,27 @@ TEST(Ycsb, BatchIssuesOps)
     EXPECT_GT(res.durationNs, 0.0);
 }
 
+TEST(Ycsb, TapSeesThePageEachAccessTouched)
+{
+    // An op's second access touches a random populated page, not the
+    // op's key: each event must name the page its frame maps.
+    TestMachine m(4096, 4096);
+    YcsbConfig cfg = YcsbConfig::workloadB(512);
+    cfg.opsPerBatch = 100;
+    YcsbWorkload wl(cfg);
+    wl.init(m.kernel);
+    std::uint64_t events = 0;
+    test::ScopedTap tap(m.kernel, [&](const AccessEvent &event) {
+        events++;
+        ASSERT_NE(event.pfn, kInvalidPfn);
+        EXPECT_EQ(m.mem.frameCold(event.pfn).ownerAsid, event.asid);
+        EXPECT_EQ(m.mem.frameCold(event.pfn).ownerVpn, event.vpn);
+    });
+    const BatchResult res = wl.runBatch(m.kernel);
+    EXPECT_EQ(events, res.accesses);
+    EXPECT_EQ(events, 200u);
+}
+
 TEST(Ycsb, ReadOnlyMixNeverDirties)
 {
     TestMachine m(4096, 4096);
