@@ -52,6 +52,8 @@
 #define TPP_BENCH_BENCH_COMMON_HH
 
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -132,9 +134,11 @@ specValueOrDie(SpecResult<T> result)
     return std::move(*result);
 }
 
-/** Strict unsigned parse; fatal() on trailing junk or overflow. */
+/** Strict unsigned parse; fatal() on trailing junk or a value past
+ *  `max`, the largest the flag's field holds. */
 inline std::uint64_t
-parseCount(const char *flag, const std::string &text)
+parseCount(const char *flag, const std::string &text,
+           std::uint64_t max = UINT64_MAX)
 {
     errno = 0;
     char *end = nullptr;
@@ -145,6 +149,9 @@ parseCount(const char *flag, const std::string &text)
         tpp_fatal("%s expects an unsigned integer, got '%s'", flag,
                   text.c_str());
     }
+    if (value > max)
+        tpp_fatal("%s expects at most %llu, got '%s'", flag,
+                  static_cast<unsigned long long>(max), text.c_str());
     return value;
 }
 
@@ -186,8 +193,8 @@ parseBenchArgs(int argc, char **argv, const ExtraFlag *extra = nullptr)
         if (arg == "--wss") {
             opt.wssPages = parseCount("--wss", next());
         } else if (arg == "--jobs") {
-            opt.jobs =
-                static_cast<unsigned>(parseCount("--jobs", next()));
+            opt.jobs = static_cast<unsigned>(
+                parseCount("--jobs", next(), UINT_MAX));
         } else if (arg == "--seed") {
             opt.seed = parseCount("--seed", next());
         } else if (arg == "--csv") {
@@ -198,7 +205,8 @@ parseBenchArgs(int argc, char **argv, const ExtraFlag *extra = nullptr)
             opt.traceOutPath = next();
             opt.trace = true;
         } else if (arg == "--sample-ms") {
-            opt.sampleMs = parseCount("--sample-ms", next());
+            opt.sampleMs =
+                parseCount("--sample-ms", next(), UINT64_MAX / kMillisecond);
             if (opt.sampleMs == 0)
                 tpp_fatal("--sample-ms expects a period > 0");
         } else if (arg == "--tenants") {
@@ -222,10 +230,10 @@ parseBenchArgs(int argc, char **argv, const ExtraFlag *extra = nullptr)
                 specValueOrDie(parseSpecDouble(next(), 0.0, 1e9));
         } else if (arg == "--shards") {
             opt.shards = static_cast<std::uint32_t>(
-                parseCount("--shards", next()));
+                parseCount("--shards", next(), UINT32_MAX));
         } else if (arg == "--shard-regions") {
             opt.shardRegions = static_cast<std::uint32_t>(
-                parseCount("--shard-regions", next()));
+                parseCount("--shard-regions", next(), UINT32_MAX));
         } else if (extra && arg == extra->name) {
             opt.extra = next();
             const std::string choices =

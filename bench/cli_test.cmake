@@ -1,4 +1,4 @@
-# Runs one figure binary for ctest and checks how it ends:
+# Runs one figure binary (or tool) for ctest and checks how it ends:
 #
 #   cmake -DBINARY=PATH [-DARGS="--flag value ..."] [-DEXPECT_FAIL=1]
 #         [-DEXPECT_OUTPUT=REGEX] [-DGOLDEN=FILE] -P cli_test.cmake

@@ -162,7 +162,8 @@ struct Figure {
     const char *id;
     const char *title;
     /** Sweeps the entry's configs and prints its tables and claim
-     *  checks. A body that never sweeps (Figure 2) exports nothing. */
+     *  checks. A body that never sweeps (Figure 2) exports no rows:
+     *  --csv gets the header alone. */
     std::function<void(Run &)> body;
     /** Closing paragraph printed after the body (a blank line first),
      *  e.g. the paper's numbers. */
@@ -372,9 +373,7 @@ main(int argc, char **argv)
     fig->body(run);
     if (fig->note)
         std::printf("\n%s\n", fig->note);
-    if (!run.cfgs.empty()) {
-        maybeWriteCsv(run.opt, run.results);
-        maybeWriteTrace(run.opt, run.results);
-    }
+    maybeWriteCsv(run.opt, run.results);
+    maybeWriteTrace(run.opt, run.results);
     return 0;
 }

@@ -16,6 +16,7 @@
  * hotnessSourceNames()).
  */
 
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -81,9 +82,10 @@ parseArgs(int argc, char **argv)
             opt.seed = bench::parseCount("--seed", next());
         } else if (arg == "--jobs") {
             opt.jobs = static_cast<unsigned>(
-                bench::parseCount("--jobs", next()));
+                bench::parseCount("--jobs", next(), UINT_MAX));
         } else if (arg == "--epoch-ms") {
-            opt.epochMs = bench::parseCount("--epoch-ms", next());
+            opt.epochMs = bench::parseCount("--epoch-ms", next(),
+                                            UINT64_MAX / kMillisecond);
         } else if (arg == "--batch") {
             opt.batch = bench::parseCount("--batch", next());
         } else if (arg == "--table") {

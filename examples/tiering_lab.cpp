@@ -20,6 +20,7 @@
  * Unknown workload or policy names fatal() with the registered list.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -94,7 +95,7 @@ parseArgs(int argc, char **argv)
             opt.seed = bench::parseCount("--seed", next());
         } else if (arg == "--jobs") {
             opt.jobs = static_cast<unsigned>(
-                bench::parseCount("--jobs", next()));
+                bench::parseCount("--jobs", next(), UINT_MAX));
         } else if (arg == "--sysctl") {
             const std::string kv = next();
             const auto eq = kv.find('=');

@@ -55,6 +55,8 @@ struct ChameleonConfig {
     std::uint32_t bitsPerInterval = 1;
     /** Sample count for a page to count as "frequent" in an interval. */
     std::uint32_t frequentThreshold = 2;
+
+    bool operator==(const ChameleonConfig &) const = default;
 };
 
 /** One tracked page's folded activity word (Worker state). */

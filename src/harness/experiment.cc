@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "harness/shard.hh"
-#include "harness/sweep.hh"
 #include "harness/thread_pool.hh"
 #include "policy/adaptive/adaptive_policy.hh"
 #include "mem/node.hh"
@@ -97,15 +96,6 @@ parseTenants(const std::string &spec)
     if (tenants.empty())
         return specError("--tenants spec names no tenants", spec);
     return tenants;
-}
-
-std::vector<TenantSpec>
-parseTenantsSpec(const std::string &spec)
-{
-    SpecResult<std::vector<TenantSpec>> tenants = parseTenants(spec);
-    if (!tenants)
-        tpp_fatal("%s", tenants.error().render().c_str());
-    return std::move(*tenants);
 }
 
 SpecResult<MemoryConfig>
@@ -1200,22 +1190,6 @@ runExperiment(const ExperimentConfig &cfg)
         regions.push_back(std::make_unique<Region>(cfg, std::move(plan)));
     const ShardStats shard = runRegions(cfg, regions);
     return harvest(cfg, regions, shard);
-}
-
-double
-relativeToAllLocal(const ExperimentConfig &cfg, ExperimentResult *out,
-                   ExperimentResult *baseline_out)
-{
-    const ExperimentResult baseline =
-        BaselineCache::instance().getOrRun(allLocalTwin(cfg));
-    const ExperimentResult result = runExperiment(cfg);
-    if (out)
-        *out = result;
-    if (baseline_out)
-        *baseline_out = baseline;
-    if (baseline.throughput <= 0.0)
-        return 0.0;
-    return result.throughput / baseline.throughput;
 }
 
 } // namespace tpp

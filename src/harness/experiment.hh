@@ -5,9 +5,9 @@
  * paper reports — throughput, local/CXL traffic shares, residency
  * splits, vmstat counters and per-interval time series.
  *
- * Every bench binary (one per paper figure/table) is a thin loop over
- * runExperiment() calls — or, since the sweep engine landed, a single
- * SweepRunner::run() over a vector of configs (harness/sweep.hh).
+ * Every paper figure, table and ablation is one SweepRunner::run()
+ * over a vector of configs (harness/sweep.hh), which calls
+ * runExperiment() once per distinct config.
  *
  * Policies and workloads are resolved by *name* through PolicyRegistry
  * (mm/policy_registry.hh) and WorkloadRegistry
@@ -46,7 +46,7 @@ class PlacementPolicy;
 /**
  * One co-located tenant: a workload bound to its own memory cgroup.
  *
- * The textual form accepted by parseTenantsSpec (and the bench
+ * The textual form accepted by parseTenants (and the bench
  * binaries' --tenants flag) is `workload[:key=val]...` with tenants
  * separated by ';', e.g.
  *
@@ -71,6 +71,8 @@ struct TenantSpec {
     std::string placement = "none";
     /** Open-loop arrival process; disabled (qps 0) = closed loop. */
     OpenLoopSpec openLoop;
+
+    bool operator==(const TenantSpec &) const = default;
 };
 
 /**
@@ -254,6 +256,15 @@ struct ExperimentConfig : PolicyParams {
      * rejects just the offending config.
      */
     SpecResult<void> validate() const;
+
+    /**
+     * Field-wise equality over every member, the policy blocks
+     * included: two equal configs describe the same run and get the
+     * same result, so SweepRunner simulates equal configs once. A
+     * member whose type has no operator== deletes this one, and
+     * SweepRunner's use of it then stops the build.
+     */
+    bool operator==(const ExperimentConfig &) const = default;
 };
 
 /**
@@ -349,9 +360,6 @@ struct ExperimentResult {
  */
 SpecResult<std::vector<TenantSpec>> parseTenants(const std::string &spec);
 
-/** Compatibility wrapper over parseTenants(); fatal() on bad input. */
-std::vector<TenantSpec> parseTenantsSpec(const std::string &spec);
-
 /**
  * Parse a --topology spec (see ExperimentConfig::topology) into a
  * machine description. Errors come back as values naming the offending
@@ -375,18 +383,6 @@ std::string runName(const ExperimentConfig &cfg);
  * fold regions x tenants, in order, into one result.
  */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
-
-/**
- * Run `cfg` against its all-local twin and report throughput relative
- * to it (the paper's "performance w.r.t. all-from-local" metric).
- *
- * The twin runs through the process-wide BaselineCache
- * (harness/sweep.hh): comparing N policies against the same baseline
- * simulates the baseline once, not N times.
- */
-double relativeToAllLocal(const ExperimentConfig &cfg,
-                          ExperimentResult *out = nullptr,
-                          ExperimentResult *baseline_out = nullptr);
 
 /** Parse a "L:C" capacity ratio ("2:1", "1:4") into a local fraction.
  *  Compatibility wrapper over parseRatioSpec(); fatal() on bad input. */

@@ -301,29 +301,4 @@ writeTraceJsonl(std::ostream &out, const ExperimentResult &result)
         writeSamplePointJsonl(out, point, result.workload, result.policy);
 }
 
-void
-writeSeriesCsv(std::ostream &out, const ExperimentResult &result)
-{
-    out << "tick_ns,window_ns,promotion_pages_s,demotion_pages_s,"
-           "hint_faults_s,alloc_fallback_s,anon_resident,file_resident";
-    if (!result.series.empty())
-        for (const NodeUsagePoint &n : result.series.front().nodes)
-            out << ",node" << static_cast<unsigned>(n.nid) << "_free"
-                << ",node" << static_cast<unsigned>(n.nid) << "_anon"
-                << ",node" << static_cast<unsigned>(n.nid) << "_file";
-    out << '\n';
-    for (const TimeSeriesPoint &p : result.series) {
-        out << p.tick << ',' << p.windowNs << ',' << std::fixed
-            << std::setprecision(3) << p.promotionRate() << ','
-            << p.demotionRate() << ','
-            << p.ratePerSec(Vm::NumaHintFaults) << ','
-            << p.ratePerSec(Vm::PgAllocFallback) << ','
-            << p.anonResident() << ',' << p.fileResident();
-        for (const NodeUsagePoint &n : p.nodes)
-            out << ',' << n.freePages << ',' << n.anonResident() << ','
-                << n.fileResident();
-        out << '\n';
-    }
-}
-
 } // namespace tpp

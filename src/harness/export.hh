@@ -45,9 +45,6 @@ void writeResultJson(std::ostream &out, const ExperimentResult &result);
  */
 void writeTraceJsonl(std::ostream &out, const ExperimentResult &result);
 
-/** Write a result's TimeSeriesSampler series as CSV (fig. 9 curves). */
-void writeSeriesCsv(std::ostream &out, const ExperimentResult &result);
-
 } // namespace tpp
 
 #endif // TPP_HARNESS_EXPORT_HH

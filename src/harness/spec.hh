@@ -3,7 +3,7 @@
  * The one spec grammar for every textual configuration surface.
  *
  * Harness flags historically grew their own hand-rolled splitters
- * (parseTenantsSpec, parseRatio), each with slightly different error
+ * (--tenants, capacity ratios), each with slightly different error
  * behaviour and each calling tpp_fatal() on bad input. This header
  * replaces the string-chopping with a shared grammar:
  *

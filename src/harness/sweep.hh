@@ -8,23 +8,14 @@
  * seeded, so results are bit-for-bit identical to a serial
  * runExperiment() loop — and returns results in submission order.
  *
- * Two layers of memoization ride on a canonical config key:
- *
- *  - within one sweep, identical configs are simulated once
- *    (SweepOptions::memoize);
- *  - across the whole process, all-local baseline runs go through
- *    BaselineCache, so relativeToAllLocal() over N policies — or N
- *    sweeps sharing a baseline — simulates the baseline once.
+ * Configs that compare equal (ExperimentConfig::operator==, every
+ * field) are simulated once per sweep; each copy gets its leader's
+ * result.
  */
 
 #ifndef TPP_HARNESS_SWEEP_HH
 #define TPP_HARNESS_SWEEP_HH
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -32,51 +23,14 @@
 namespace tpp {
 
 /**
- * Canonical, collision-free serialisation of every ExperimentConfig
- * field. Two configs produce the same key iff they describe the same
- * run; used as the memoization key by SweepRunner and BaselineCache.
- */
-std::string canonicalKey(const ExperimentConfig &cfg);
-
-/**
  * The all-local twin of `cfg`: same workload, size and clock, but a
  * single local node under default Linux, no profiler and no sysctls
  * (policy-specific knobs do not exist on the baseline kernel). This is
- * the paper's "all from local" reference machine.
+ * the paper's "all from local" reference machine. Twins of a sweep's
+ * arms that differ only in what the twin strips compare equal, so the
+ * sweep runs their baseline once.
  */
 ExperimentConfig allLocalTwin(const ExperimentConfig &cfg);
-
-/**
- * Process-wide memo of baseline runs keyed by canonicalKey(). Safe for
- * concurrent use; a config being simulated by one thread blocks other
- * requesters for the same key instead of duplicating the run.
- */
-class BaselineCache
-{
-  public:
-    static BaselineCache &instance();
-
-    /** Return the cached result for `cfg`, simulating it on first use. */
-    ExperimentResult getOrRun(const ExperimentConfig &cfg);
-
-    /** Requests served without a fresh simulation. */
-    std::uint64_t hits() const;
-    /** Requests that had to simulate. */
-    std::uint64_t misses() const;
-
-    /** Drop all entries and reset the counters (tests). */
-    void clear();
-
-  private:
-    BaselineCache() = default;
-
-    struct Entry;
-
-    mutable std::mutex mutex_;
-    std::map<std::string, std::shared_ptr<Entry>> entries_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-};
 
 /** Knobs for one sweep. */
 struct SweepOptions {
@@ -84,8 +38,6 @@ struct SweepOptions {
     unsigned jobs = 1;
     /** \r-style progress meter on stderr while runs complete. */
     bool progress = false;
-    /** Simulate identical configs once per sweep. */
-    bool memoize = true;
 };
 
 /**
@@ -97,20 +49,14 @@ class SweepRunner
     explicit SweepRunner(SweepOptions opts = {});
 
     /**
-     * Run every config and return results in submission order.
-     * All-local configs are served through BaselineCache.
+     * Run every config and return results in submission order. A
+     * config that fails validate() comes back failed() with a
+     * diagnostic on stderr; the others still run.
      */
     std::vector<ExperimentResult>
     run(const std::vector<ExperimentConfig> &configs);
 
-    /** Convenience: run a single config through the same plumbing. */
-    ExperimentResult runOne(const ExperimentConfig &cfg);
-
-    const SweepOptions &options() const { return opts_; }
-
   private:
-    ExperimentResult runCached(const ExperimentConfig &cfg) const;
-
     SweepOptions opts_;
 };
 

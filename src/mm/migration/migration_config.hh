@@ -84,6 +84,8 @@ struct MigrationConfig {
         cfg.queueDepth = 512;
         return cfg;
     }
+
+    bool operator==(const MigrationConfig &) const = default;
 };
 
 } // namespace tpp

@@ -65,6 +65,8 @@ struct TppConfig {
      * matching the paper's TPP.
      */
     double promoteRateLimitMBps = 0.0;
+
+    bool operator==(const TppConfig &) const = default;
 };
 
 /** Tunables mirroring the numa_balancing sysctls. */
@@ -73,6 +75,8 @@ struct NumaBalancingConfig {
     Tick scanPeriod = 20 * kMillisecond;
     /** Pages sampled per node per period (scan_size equivalent). */
     std::uint64_t scanBatch = 512;
+
+    bool operator==(const NumaBalancingConfig &) const = default;
 };
 
 /** AutoTiering tunables. */
@@ -85,6 +89,8 @@ struct AutoTieringConfig {
     /** Fixed-size promotion reserve, in pages; 0 = 5 % of the local
      *  node's capacity. */
     std::uint64_t promotionReserve = 0;
+
+    bool operator==(const AutoTieringConfig &) const = default;
 };
 
 /**
@@ -126,6 +132,8 @@ struct HotnessConfig {
      * only the hottest 5% of tracked far-tier pages compete per epoch.
      */
     double targetQuantile = 0.95;
+
+    bool operator==(const HotnessConfig &) const = default;
 };
 
 /**
@@ -172,6 +180,8 @@ struct AdaptiveConfig {
     /** Grid bounds for vm.demote_scale_factor (watermark gap, +-1.0). */
     double demoteScaleMin = 1.0;
     double demoteScaleMax = 8.0;
+
+    bool operator==(const AdaptiveConfig &) const = default;
 };
 
 /**
@@ -186,6 +196,8 @@ struct PolicyParams {
     AutoTieringConfig autoTiering;
     HotnessConfig hotness;
     AdaptiveConfig adaptive;
+
+    bool operator==(const PolicyParams &) const = default;
 };
 
 } // namespace tpp

@@ -63,6 +63,8 @@ struct OpenLoopSpec {
     double diurnalAmplitude = 0.8;
 
     bool enabled() const { return qps > 0.0; }
+
+    bool operator==(const OpenLoopSpec &) const = default;
 };
 
 /**

@@ -92,7 +92,7 @@ const EngineCase kCases[] = {
     {"two_tenants_observed",
      [](ExperimentConfig &cfg) {
          cfg.localFraction = 0.4;
-         cfg.tenants = parseTenantsSpec("cache1:low=0.5;web");
+         cfg.tenants = *parseTenants("cache1:low=0.5;web");
          cfg.measureHotness = true;
          cfg.traceEnabled = true;
          cfg.traceCapacity = 1u << 12;
@@ -105,14 +105,14 @@ const EngineCase kCases[] = {
          cfg.localFraction = 0.25;
          cfg.sysctls = {{"vm.adaptive.enable", "1"},
                         {"vm.adaptive.window_ns", "100000000"}};
-         cfg.tenants = parseTenantsSpec(
+         cfg.tenants = *parseTenants(
              "dwh:qps=200000:slo=500:low=0.5;churn:budget=50");
      },
      0x78b1ac7c7e356d30ULL},
     {"one_explicit_tenant",
      [](ExperimentConfig &cfg) {
          cfg.localFraction = 0.5;
-         cfg.tenants = parseTenantsSpec("web");
+         cfg.tenants = *parseTenants("web");
      },
      0xf40a5390d3ceb1b4ULL},
     {"shards4_admission_rebalance",

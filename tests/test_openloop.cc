@@ -276,12 +276,12 @@ TEST(Validate, RejectionTable)
         {"config open loop with tenants",
          [](ExperimentConfig &c) {
              c.openLoop.qps = 1e5;
-             c.tenants = parseTenantsSpec("web;churn");
+             c.tenants = *parseTenants("web;churn");
          },
          "mutually exclusive"},
         {"tenant wss oversubscribed",
          [](ExperimentConfig &c) {
-             c.tenants = parseTenantsSpec("web:wss=1500;dwh:wss=1500");
+             c.tenants = *parseTenants("web:wss=1500;dwh:wss=1500");
          },
          "wss"},
     };
@@ -362,8 +362,7 @@ TEST(OpenLoopRun, TenantSloFlowsIntoMemcg)
     ExperimentConfig cfg = tinyConfig();
     cfg.wssPages = 4096;
     cfg.policy = "tpp";
-    cfg.tenants =
-        parseTenantsSpec("web:qps=50000:slo=100000;churn");
+    cfg.tenants = *parseTenants("web:qps=50000:slo=100000;churn");
     const ExperimentResult r = runExperiment(cfg);
 
     ASSERT_EQ(r.tenants.size(), 2u);
@@ -415,7 +414,7 @@ TEST(GoldenFingerprint, TenantClosedLoop)
     cfg.localFraction = 0.4;
     cfg.runUntil = 6 * kSecond;
     cfg.measureFrom = 3 * kSecond;
-    cfg.tenants = parseTenantsSpec("cache1:low=0.5;churn");
+    cfg.tenants = *parseTenants("cache1:low=0.5;churn");
     const ExperimentResult r = runExperiment(cfg);
 
     EXPECT_EQ(r.throughput, 1492679.134195684);
@@ -509,7 +508,7 @@ TEST(GoldenFingerprint, OpenLoopTenantBesideChurn)
     cfg.localFraction = 0.25;
     cfg.runUntil = 3 * kSecond;
     cfg.measureFrom = 1500 * kMillisecond;
-    cfg.tenants = parseTenantsSpec("dwh:qps=200000:slo=500:low=0.5;churn");
+    cfg.tenants = *parseTenants("dwh:qps=200000:slo=500:low=0.5;churn");
     const ExperimentResult r = runExperiment(cfg);
 
     EXPECT_EQ(r.throughput, 819372.57421931275);

@@ -375,7 +375,7 @@ TEST(Spec, TenantsRejectChameleon)
 {
     ExperimentConfig cfg;
     cfg.wssPages = 8192;
-    cfg.tenants = parseTenantsSpec("web;churn");
+    cfg.tenants = *parseTenants("web;churn");
     ASSERT_TRUE(bool(cfg.validate()));
     cfg.withChameleon = true;
     const SpecResult<void> valid = cfg.validate();
@@ -389,7 +389,7 @@ TEST(Spec, TenantsRejectZeroPageEqualShare)
 {
     ExperimentConfig cfg;
     cfg.wssPages = 3;
-    cfg.tenants = parseTenantsSpec("cache1:wss=1;web;dwh;churn");
+    cfg.tenants = *parseTenants("cache1:wss=1;web;dwh;churn");
     const SpecResult<void> valid = cfg.validate();
     ASSERT_FALSE(bool(valid));
     EXPECT_NE(valid.error().render().find("zero pages"), std::string::npos)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the parallel sweep engine (ThreadPool, SweepRunner,
- * BaselineCache), the policy/workload registries, and the hardened
- * parseRatio().
+ * Tests for the parallel sweep engine (ThreadPool, SweepRunner and its
+ * per-sweep dedup on config equality), the policy/workload registries,
+ * and the hardened parseRatio().
  */
 
 #include <atomic>
@@ -23,6 +23,15 @@ namespace {
 TPP_REGISTER_POLICY_AS(testEcho, "test-echo", [](const PolicyParams &) {
     return std::make_unique<DefaultLinuxPolicy>();
 });
+
+// Counts the policies it builds: one per simulated run, so a sweep's
+// dedup shows in how many runs reached the engine.
+std::atomic<int> countedPolicies{0};
+TPP_REGISTER_POLICY_AS(testCounted, "test-counted",
+                       [](const PolicyParams &) {
+                           countedPolicies++;
+                           return std::make_unique<DefaultLinuxPolicy>();
+                       });
 
 /** A short run so sweep tests stay fast. */
 ExperimentConfig
@@ -89,12 +98,10 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
         for (const char *ratio : {"2:1", "1:4"})
             cfgs.push_back(smallConfig("cache1", policy, ratio));
 
-    BaselineCache::instance().clear();
     SweepOptions serial;
     serial.jobs = 1;
     const auto serial_results = SweepRunner(serial).run(cfgs);
 
-    BaselineCache::instance().clear();
     SweepOptions parallel;
     parallel.jobs = 4;
     const auto parallel_results = SweepRunner(parallel).run(cfgs);
@@ -110,172 +117,137 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
 
 TEST(Sweep, MemoizationSimulatesDuplicatesOnce)
 {
-    // Three identical all-local configs: with memoization only the
-    // leader reaches the BaselineCache, so exactly one miss.
-    BaselineCache::instance().clear();
-    ExperimentConfig cfg = smallConfig("web", "linux", "2:1");
-    cfg.allLocal = true;
-    const std::vector<ExperimentConfig> cfgs = {cfg, cfg, cfg};
+    // {a, b, a, a}: the copies of `a` ride on its one run, so the sweep
+    // builds one policy per distinct config.
+    const ExperimentConfig a = smallConfig("web", "test-counted", "2:1");
+    ExperimentConfig b = a;
+    b.seed = 2;
+    const std::vector<ExperimentConfig> cfgs = {a, b, a, a};
 
     SweepOptions opts;
     opts.jobs = 2;
+    countedPolicies = 0;
     const auto results = SweepRunner(opts).run(cfgs);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 0u);
-    EXPECT_EQ(fingerprint(results[0]), fingerprint(results[1]));
-    EXPECT_EQ(fingerprint(results[0]), fingerprint(results[2]));
-
-    // Without memoization every copy consults the cache instead.
-    BaselineCache::instance().clear();
-    opts.memoize = false;
-    const auto raw = SweepRunner(opts).run(cfgs);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 2u);
-    EXPECT_EQ(fingerprint(raw[0]), fingerprint(results[0]));
+    EXPECT_EQ(countedPolicies.load(), 2);
+    ASSERT_EQ(results.size(), cfgs.size());
+    EXPECT_EQ(fingerprint(results[2]), fingerprint(results[0]));
+    EXPECT_EQ(fingerprint(results[3]), fingerprint(results[0]));
+    EXPECT_NE(fingerprint(results[1]), fingerprint(results[0]));
 }
 
-TEST(Sweep, BaselineCacheServesRelativeRuns)
-{
-    BaselineCache::instance().clear();
-    ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
-
-    ExperimentResult run1, baseline1;
-    const double rel1 = relativeToAllLocal(cfg, &run1, &baseline1);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 0u);
-
-    // A second policy against the same machine reuses the baseline.
-    cfg.policy = "linux";
-    ExperimentResult run2, baseline2;
-    const double rel2 = relativeToAllLocal(cfg, &run2, &baseline2);
-    EXPECT_EQ(BaselineCache::instance().misses(), 1u);
-    EXPECT_EQ(BaselineCache::instance().hits(), 1u);
-
-    EXPECT_EQ(fingerprint(baseline1), fingerprint(baseline2));
-    EXPECT_GT(rel1, 0.0);
-    EXPECT_GT(rel2, 0.0);
-}
-
-TEST(Sweep, CanonicalKeySeparatesConfigs)
+TEST(Sweep, ConfigEqualitySeparatesConfigs)
 {
     const ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
     ExperimentConfig copy = cfg;
-    EXPECT_EQ(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_TRUE(cfg == copy);
 
     copy.seed = 2;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.tpp.scanBatch += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.sysctls.emplace_back("vm.demote_scale_factor", "40");
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     // Telemetry fields separate configs too: a traced result carries
     // different payload than an untraced one and must not share a memo
     // slot.
     copy = cfg;
     copy.traceEnabled = true;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.traceCapacity = 1024;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.sampleSeries = true;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.samplePeriod = 42;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     // The MigrationEngine mode changes simulation results and must
     // never share a memo slot with the compat mode.
     copy = cfg;
     copy.migration = MigrationConfig::asyncEngine();
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.migration.rateLimitMBps = 64.0;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     // Shard geometry changes the simulated machine (regions) or at
     // least what the result carries (shard stats).
     copy = cfg;
     copy.shards = 4;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.shardRegions = 4;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
-    // The twin differs from its source and strips policy state — and
-    // telemetry, so every figure shares one cached baseline run.
-    ExperimentConfig source = cfg;
-    source.traceEnabled = true;
-    source.sampleSeries = true;
-    source.samplePeriod = 42;
-    const ExperimentConfig twin = allLocalTwin(source);
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(twin));
-    EXPECT_TRUE(twin.allLocal);
-    EXPECT_EQ(twin.policy, "linux");
-    EXPECT_TRUE(twin.sysctls.empty());
-    EXPECT_FALSE(twin.traceEnabled);
-    EXPECT_FALSE(twin.sampleSeries);
-    EXPECT_EQ(twin.samplePeriod, 0u);
+    // A sysctl value holding a comma is one assignment, not two.
+    ExperimentConfig joined = cfg;
+    joined.sysctls = {{"vm.demote_scale_factor", "1,vm.tpp.demote_chain=0"}};
+    ExperimentConfig split = cfg;
+    split.sysctls = {{"vm.demote_scale_factor", "1"},
+                     {"vm.tpp.demote_chain", "0"}};
+    EXPECT_FALSE(joined == split);
 }
 
-TEST(Sweep, CanonicalKeySeparatesHotnessConfigs)
+TEST(Sweep, ConfigEqualitySeparatesHotnessConfigs)
 {
     // Two configs differing only in hotness settings must never share a
     // memo slot — the PR-3 lesson, re-learned for src/hotness.
     const ExperimentConfig cfg = smallConfig("cache1", "hotness", "1:4");
     ExperimentConfig copy = cfg;
-    EXPECT_EQ(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_TRUE(cfg == copy);
 
     copy.hotness.source = "neoprof";
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.epochPeriod += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.promoteBatch += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.hotWindow += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.hotThreshold += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.counterTableSize += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.decayHalfLife += 1;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     copy = cfg;
     copy.hotness.targetQuantile = 0.9;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     // Recall measurement changes what the result carries (like
     // telemetry): no shared memo slot, and the all-local twin drops it.
     copy = cfg;
     copy.measureHotness = true;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
     EXPECT_FALSE(allLocalTwin(copy).measureHotness);
 }
 
-TEST(Sweep, CanonicalKeyTwinStripsState)
+TEST(Sweep, ConfigEqualityTwinStripsState)
 {
     const ExperimentConfig cfg = smallConfig("cache1", "tpp", "1:4");
     ExperimentConfig source = cfg;
@@ -283,7 +255,7 @@ TEST(Sweep, CanonicalKeyTwinStripsState)
     source.sampleSeries = true;
     source.samplePeriod = 42;
     const ExperimentConfig twin = allLocalTwin(source);
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(twin));
+    EXPECT_FALSE(cfg == twin);
     EXPECT_TRUE(twin.allLocal);
     EXPECT_EQ(twin.policy, "linux");
     EXPECT_TRUE(twin.sysctls.empty());
@@ -292,7 +264,7 @@ TEST(Sweep, CanonicalKeyTwinStripsState)
     EXPECT_EQ(twin.samplePeriod, 0u);
 }
 
-TEST(Sweep, CanonicalKeySeparatesTenantConfigs)
+TEST(Sweep, ConfigEqualitySeparatesTenantConfigs)
 {
     // Multi-tenant runs share a kernel between workloads: a config with
     // tenants simulates a different machine than the same config
@@ -302,43 +274,43 @@ TEST(Sweep, CanonicalKeySeparatesTenantConfigs)
     TenantSpec tenant;
     tenant.workload = "cache1";
     copy.tenants.push_back(tenant);
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     ExperimentConfig other = copy;
     other.tenants[0].wssPages = 2048;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
+    EXPECT_FALSE(copy == other);
 
     other = copy;
     other.tenants[0].lowFraction = 0.6;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
+    EXPECT_FALSE(copy == other);
 
     other = copy;
     other.tenants[0].budgetMBps = 10.0;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
+    EXPECT_FALSE(copy == other);
 
     other = copy;
     other.tenants[0].placement = "cxl_only";
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
+    EXPECT_FALSE(copy == other);
 
     // The all-local baseline is a single-workload machine: the twin
-    // strips tenants so every pairing shares one cached baseline.
+    // strips tenants so every pairing shares one baseline run.
     EXPECT_TRUE(allLocalTwin(copy).tenants.empty());
 }
 
-TEST(Sweep, CanonicalKeySeparatesOpenLoopConfigs)
+TEST(Sweep, ConfigEqualitySeparatesOpenLoopConfigs)
 {
     const ExperimentConfig cfg = smallConfig("web", "tpp", "1:4");
     ExperimentConfig copy = cfg;
     copy.openLoop.qps = 1e5;
-    EXPECT_NE(canonicalKey(cfg), canonicalKey(copy));
+    EXPECT_FALSE(cfg == copy);
 
     ExperimentConfig other = copy;
     other.openLoop.arrival = "bursty";
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
+    EXPECT_FALSE(copy == other);
 
     other = copy;
     other.openLoop.sloP99Us = 500.0;
-    EXPECT_NE(canonicalKey(copy), canonicalKey(other));
+    EXPECT_FALSE(copy == other);
 
     // A tenant's qps feeds the key too.
     ExperimentConfig tenanted = cfg;
@@ -347,7 +319,7 @@ TEST(Sweep, CanonicalKeySeparatesOpenLoopConfigs)
     tenanted.tenants.push_back(tenant);
     ExperimentConfig tenanted_ol = tenanted;
     tenanted_ol.tenants[0].openLoop.qps = 1e5;
-    EXPECT_NE(canonicalKey(tenanted), canonicalKey(tenanted_ol));
+    EXPECT_FALSE(tenanted == tenanted_ol);
 
     // And so does each of its arrival-shape knobs.
     const std::vector<std::pair<const char *, void (*)(OpenLoopSpec &)>>
@@ -364,16 +336,15 @@ TEST(Sweep, CanonicalKeySeparatesOpenLoopConfigs)
     for (const auto &[name, mutate] : shapes) {
         ExperimentConfig shaped = tenanted_ol;
         mutate(shaped.tenants[0].openLoop);
-        EXPECT_NE(canonicalKey(tenanted_ol), canonicalKey(shaped)) << name;
+        EXPECT_FALSE(tenanted_ol == shaped) << name;
     }
 
     // The all-local twin is closed-loop: open-loop shape must not
-    // split the shared baseline cache entry.
-    EXPECT_EQ(canonicalKey(allLocalTwin(cfg)),
-              canonicalKey(allLocalTwin(copy)));
+    // split the shared baseline run.
+    EXPECT_TRUE(allLocalTwin(cfg) == allLocalTwin(copy));
 }
 
-TEST(Sweep, CanonicalKeySeparatesAdaptiveConfigs)
+TEST(Sweep, ConfigEqualitySeparatesAdaptiveConfigs)
 {
     // Every AdaptiveConfig field steers the tuner, so each one on its
     // own must move the key.
@@ -411,7 +382,7 @@ TEST(Sweep, CanonicalKeySeparatesAdaptiveConfigs)
     for (const auto &[name, mutate] : mutations) {
         ExperimentConfig copy = cfg;
         mutate(copy.adaptive);
-        EXPECT_NE(canonicalKey(cfg), canonicalKey(copy)) << name;
+        EXPECT_FALSE(cfg == copy) << name;
     }
 }
 
@@ -448,7 +419,7 @@ TEST(Sweep, RejectsOneBadConfigAndRunsTheRest)
     // diagnostic and still run the other one.
     ExperimentConfig good = smallConfig("web", "linux", "1:1");
     ExperimentConfig bad = smallConfig("web", "linux", "1:1");
-    bad.tenants = parseTenantsSpec("web:wss=4000;dwh:wss=4000");
+    bad.tenants = *parseTenants("web:wss=4000;dwh:wss=4000");
 
     SweepOptions opts;
     opts.jobs = 1;
@@ -471,7 +442,7 @@ TEST(Sweep, TenantsWithChameleonRejectOnlyThatConfig)
     // the valid config's result was lost with it.
     ExperimentConfig good = smallConfig("web", "tpp", "2:1");
     ExperimentConfig bad = good;
-    bad.tenants = parseTenantsSpec("web;churn");
+    bad.tenants = *parseTenants("web;churn");
     bad.withChameleon = true;
 
     ::testing::internal::CaptureStderr();
@@ -490,6 +461,26 @@ TEST(Sweep, TenantsWithChameleonRejectOnlyThatConfig)
         << diagnostics;
 }
 
+TEST(Sweep, ProgressNamesTenantRuns)
+{
+    // The meter names a run as its result row does: a tenant run is its
+    // tenants' workloads, not the config's unused `workload`.
+    ExperimentConfig cfg = smallConfig("web", "tpp", "2:1");
+    cfg.tenants = *parseTenants("web;churn");
+    cfg.runUntil = 1 * kSecond;
+    cfg.measureFrom = kSecond / 2;
+
+    SweepOptions opts;
+    opts.progress = true;
+    ::testing::internal::CaptureStderr();
+    const std::vector<ExperimentResult> results = SweepRunner(opts).run({cfg});
+    const std::string meter = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].failed()) << results[0].error;
+    EXPECT_NE(meter.find("[sweep 1/1] web+churn/tpp"), std::string::npos)
+        << meter;
+}
+
 TEST(Sweep, ZeroPageTenantShareRejectsOnlyThatConfig)
 {
     // Regression: four tenants without wss= split three pages into
@@ -498,7 +489,7 @@ TEST(Sweep, ZeroPageTenantShareRejectsOnlyThatConfig)
     ExperimentConfig good = smallConfig("web", "tpp", "2:1");
     ExperimentConfig bad = good;
     bad.wssPages = 3;
-    bad.tenants = parseTenantsSpec("web;cache1;dwh;churn");
+    bad.tenants = *parseTenants("web;cache1;dwh;churn");
 
     const std::vector<ExperimentResult> results =
         SweepRunner().run({good, bad});

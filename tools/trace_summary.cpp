@@ -23,6 +23,7 @@
  */
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -41,7 +42,8 @@ namespace {
 using namespace tpp;
 
 std::uint64_t
-parseCount(const char *flag, const std::string &text)
+parseCount(const char *flag, const std::string &text,
+           std::uint64_t max = UINT64_MAX)
 {
     errno = 0;
     char *end = nullptr;
@@ -50,6 +52,9 @@ parseCount(const char *flag, const std::string &text)
         errno == ERANGE || text[0] == '-')
         tpp_fatal("%s expects an unsigned integer, got '%s'", flag,
                   text.c_str());
+    if (value > max)
+        tpp_fatal("%s expects at most %llu, got '%s'", flag,
+                  static_cast<unsigned long long>(max), text.c_str());
     return value;
 }
 
@@ -463,7 +468,8 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--window-ms") {
-            const std::uint64_t ms = parseCount("--window-ms", next());
+            const std::uint64_t ms =
+                parseCount("--window-ms", next(), UINT64_MAX / kMillisecond);
             if (ms == 0)
                 tpp_fatal("--window-ms expects a window > 0");
             window_ns = ms * kMillisecond;
