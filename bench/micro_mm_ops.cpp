@@ -11,7 +11,8 @@
  * counters on the fault, reclaim-scan and LRU-surgery benchmarks, the
  * accesses_per_sec counters on the resident access (bare and with one
  * access tap attached) and on one cache1 workload batch (the layer
- * that dominates figure runs), the Zipf draw and short-lived
+ * that dominates figure runs; inline and drawn ahead on a second CPU),
+ * the Zipf draw and short-lived
  * distribution rates, and the requests_per_sec of an open-loop service
  * run, they feed the CI perf gate:
  *
@@ -36,6 +37,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "sim/spare_cpu.hh"
 #include "workloads/driver.hh"
 #include "workloads/profiles.hh"
 #include "workloads/synthetic.hh"
@@ -157,15 +159,18 @@ BM_AccessResidentSink(benchmark::State &state)
 }
 BENCHMARK(BM_AccessResidentSink);
 
+/**
+ * The layer that takes most of the host time in figure runs: one cache1
+ * operation batch (access generation, Kernel::access, the latency
+ * model) on the fig16 machine, wss 32768 at local:CXL 1:4 under TPP,
+ * warmed for one simulated second first. Between batches the clock
+ * steps by the batch's duration, as the workload driver steps it, with
+ * the timer paused while the policy daemons run. `mode` picks the loop
+ * a batch takes.
+ */
 void
-BM_SyntheticBatch(benchmark::State &state)
+syntheticBatch(benchmark::State &state, SyntheticWorkload::DrawAhead mode)
 {
-    // The layer that takes most of the host time in figure runs: one
-    // cache1 operation batch (access generation, Kernel::access, the
-    // latency model) on the fig16 machine, wss 32768 at local:CXL 1:4
-    // under TPP, warmed for one simulated second first. Between batches
-    // the clock steps by the batch's duration, as the workload driver
-    // steps it, with the timer paused while the policy daemons run.
     const std::uint64_t wss = 32768;
     const std::uint64_t total =
         static_cast<std::uint64_t>(static_cast<double>(wss) * 1.03);
@@ -175,6 +180,7 @@ BM_SyntheticBatch(benchmark::State &state)
     Kernel kernel(mem, eq, std::make_unique<TppPolicy>());
     setLogVerbose(false);
     kernel.start();
+    SyntheticWorkload::setDrawAheadForTest(mode);
     SyntheticWorkload wl(profiles::cache1(wss));
     wl.init(kernel);
     const auto step = [&](const BatchResult &batch) {
@@ -195,8 +201,30 @@ BM_SyntheticBatch(benchmark::State &state)
     }
     state.counters["accesses_per_sec"] = benchmark::Counter(
         static_cast<double>(accesses), benchmark::Counter::kIsRate);
+    SyntheticWorkload::setDrawAheadForTest(SyntheticWorkload::DrawAhead::Auto);
+}
+
+/** A batch on the inline loop, which open-loop calls and sweeps with a
+ *  job per CPU take. */
+void
+BM_SyntheticBatch(benchmark::State &state)
+{
+    syntheticBatch(state, SyntheticWorkload::DrawAhead::Never);
 }
 BENCHMARK(BM_SyntheticBatch)->Unit(benchmark::kMicrosecond);
+
+/** A batch drawn by the draw-ahead helper on a second CPU. */
+void
+BM_SyntheticBatchAhead(benchmark::State &state)
+{
+    if (allowedCpus() < 2) {
+        state.SkipWithError("skipped: the draw-ahead helper needs a second "
+                            "CPU, and this process has one");
+        return;
+    }
+    syntheticBatch(state, SyntheticWorkload::DrawAhead::Always);
+}
+BENCHMARK(BM_SyntheticBatchAhead)->Unit(benchmark::kMicrosecond);
 
 void
 BM_OpenLoopService(benchmark::State &state)

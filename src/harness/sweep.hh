@@ -4,8 +4,8 @@
  *
  * Every paper figure is a set of *independent, deterministic*
  * simulations. SweepRunner fans a vector of ExperimentConfigs out
- * across a ThreadPool — each simulation stays single-threaded and
- * seeded, so results are bit-for-bit identical to a serial
+ * across a ThreadPool — each simulation is seeded and its results do
+ * not depend on threads, so they are bit-for-bit identical to a serial
  * runExperiment() loop — and returns results in submission order.
  *
  * Configs that compare equal (ExperimentConfig::operator==, every

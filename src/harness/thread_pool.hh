@@ -2,7 +2,7 @@
  * @file
  * A small fixed-size worker pool for the experiment harness.
  *
- * Simulations are single-threaded and deterministic; the pool only
+ * A simulation's results do not depend on threads, so the pool only
  * provides fan-out *across* independent runs (SweepRunner). Jobs are
  * plain std::function<void()> values executed FIFO; wait() blocks until
  * the queue is drained and every worker is idle, so a submit/wait cycle

@@ -74,18 +74,6 @@ LruSet::remove(Pfn pfn)
     f.lruPrev = f.lruNext = kInvalidPfn;
 }
 
-Pfn
-LruSet::tail(LruListId list) const
-{
-    return tails_[index(list)];
-}
-
-Pfn
-LruSet::head(LruListId list) const
-{
-    return heads_[index(list)];
-}
-
 void
 LruSet::activate(Pfn pfn)
 {
@@ -117,12 +105,6 @@ LruSet::rotate(Pfn pfn)
         tpp_panic("rotate: frame %u not on any list", pfn);
     remove(pfn);
     addHead(list, pfn);
-}
-
-std::uint64_t
-LruSet::count(LruListId list) const
-{
-    return counts_[index(list)];
 }
 
 std::uint64_t

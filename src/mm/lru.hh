@@ -40,10 +40,10 @@ class LruSet
     void remove(Pfn pfn);
 
     /** @return the tail (oldest) frame of `list`, kInvalidPfn if empty. */
-    Pfn tail(LruListId list) const;
+    Pfn tail(LruListId list) const { return tails_[index(list)]; }
 
     /** @return the head (youngest) frame of `list`, kInvalidPfn if empty. */
-    Pfn head(LruListId list) const;
+    Pfn head(LruListId list) const { return heads_[index(list)]; }
 
     /** Move an inactive frame to the head of its active list. */
     void activate(Pfn pfn);
@@ -54,7 +54,7 @@ class LruSet
     /** Rotate a frame to the head of its current list (second chance). */
     void rotate(Pfn pfn);
 
-    std::uint64_t count(LruListId list) const;
+    std::uint64_t count(LruListId list) const { return counts_[index(list)]; }
 
     /** Pages of `type` on this node's LRUs (active + inactive). */
     std::uint64_t countType(PageType type) const;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/spare_cpu.hh"
+
 namespace tpp {
 
 EventId
@@ -52,6 +54,7 @@ EventQueue::popNext(Item &out)
 void
 EventQueue::run(Tick until)
 {
+    const BusyThreadScope busy;
     running_ = true;
     horizon_ = until;
     Item item;

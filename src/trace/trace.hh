@@ -123,7 +123,8 @@ static_assert(sizeof(TraceRecord) == 32,
 /**
  * Fixed-capacity ring of TraceRecords owned by one Kernel.
  *
- * Not thread-safe by design: a simulation is single-threaded, and
+ * Not thread-safe by design: only the thread running a simulation
+ * touches its Kernel (a workload's draw-ahead helper never does), and
  * parallel sweeps give every Kernel its own buffer (no global state).
  */
 class TraceBuffer

@@ -1,12 +1,98 @@
 #include "workloads/synthetic.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <system_error>
+#include <thread>
 
 #include "mm/kernel.hh"
 #include "sim/logging.hh"
+#include "sim/spare_cpu.hh"
 
 namespace tpp {
+
+namespace {
+
+std::atomic<SyntheticWorkload::DrawAhead> drawAheadMode{
+    SyntheticWorkload::DrawAhead::Auto};
+
+/**
+ * How long a side waits on a counter before it sleeps. Waking a sleeper
+ * takes tens of microseconds on a virtual machine, longer than a chunk
+ * takes to draw. Inside a batch both sides wait long enough to outlast
+ * a slow access; between batches the helper waits across a short gap.
+ */
+constexpr std::chrono::microseconds kWaitInBatch{2000};
+constexpr std::chrono::microseconds kWaitBetweenBatches{500};
+
+/**
+ * Wait until `done` holds for the value of `counter`, read with acquire
+ * order, and return that value. Check between yields of the CPU, so a
+ * thread waiting for it runs first, until `wait` has passed; then sleep
+ * in atomic::wait until the counter changes, with `asleep` (if given)
+ * set meanwhile.
+ */
+template <typename Done>
+std::uint32_t
+awaitCounter(const std::atomic<std::uint32_t> &counter, Done &&done,
+             std::chrono::microseconds wait = kWaitInBatch,
+             std::atomic<bool> *asleep = nullptr)
+{
+    using Clock = std::chrono::steady_clock;
+    std::uint32_t value = counter.load(std::memory_order_acquire);
+    if (done(value))
+        return value;
+    const Clock::time_point start = Clock::now();
+    while (Clock::now() - start < wait) {
+        std::this_thread::yield();
+        value = counter.load(std::memory_order_acquire);
+        if (done(value))
+            return value;
+    }
+    if (asleep)
+        asleep->store(true, std::memory_order_relaxed);
+    do {
+        counter.wait(value, std::memory_order_acquire);
+        value = counter.load(std::memory_order_acquire);
+    } while (!done(value));
+    if (asleep)
+        asleep->store(false, std::memory_order_relaxed);
+    return value;
+}
+
+} // namespace
+
+/**
+ * The draw-ahead helper of one workload: a thread that runs pass 1 of a
+ * batch (drawChunk) into a ring of chunks while the caller runs pass 2
+ * on each published chunk. Each counter is written by one side only:
+ *  - posted (caller, release): a batch's size is set. The helper
+ *    acquires it before it reads the size or the draw state;
+ *  - drawn (helper, release): chunks published. The caller acquires it
+ *    before it issues a chunk, and after a batch's last chunk before it
+ *    touches rng_, the regions' Zipf state or weightPrefix_ again;
+ *  - consumed (caller, release): chunks issued. The helper acquires it
+ *    before it draws over the ring slot of an issued chunk.
+ * Shutdown sets `stop`, then changes posted and consumed, so a helper
+ * asleep on either wakes: atomic::wait sleeps until the value changes.
+ */
+struct SyntheticWorkload::Ahead {
+    static constexpr std::uint32_t kRingChunks = 8;
+
+    std::array<std::array<DrawnAccess, kChunkAccesses>, kRingChunks> ring;
+    /** The posted batch: its accesses and the most per chunk. */
+    std::uint64_t accesses = 0;
+    std::uint64_t chunk = 0;
+    std::atomic<bool> stop{false};
+    /** The helper sleeps between batches (it is not runnable). */
+    std::atomic<bool> asleep{false};
+    alignas(64) std::atomic<std::uint32_t> posted{0};
+    alignas(64) std::atomic<std::uint32_t> drawn{0};
+    alignas(64) std::atomic<std::uint32_t> consumed{0};
+    std::thread thread;
+};
 
 SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
     : profile_(std::move(profile)),
@@ -16,6 +102,25 @@ SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
 {
     if (profile_.regions.empty())
         tpp_fatal("synthetic workload needs at least one region");
+}
+
+SyntheticWorkload::~SyntheticWorkload()
+{
+    if (!ahead_)
+        return;
+    Ahead &a = *ahead_;
+    a.stop.store(true, std::memory_order_relaxed);
+    a.posted.fetch_add(1, std::memory_order_release);
+    a.posted.notify_one();
+    a.consumed.fetch_add(1, std::memory_order_release);
+    a.consumed.notify_one();
+    a.thread.join();
+}
+
+void
+SyntheticWorkload::setDrawAheadForTest(DrawAhead mode)
+{
+    drawAheadMode.store(mode, std::memory_order_relaxed);
 }
 
 void
@@ -266,7 +371,7 @@ SyntheticWorkload::sampleRegionVpn(RegionState &region, Rng &rng)
 }
 
 void
-SyntheticWorkload::drawChunk(std::size_t n)
+SyntheticWorkload::drawChunk(DrawnAccess *out, std::size_t n)
 {
     // Draw from a local copy of the Rng, written back once. Nothing in
     // this loop takes its address, so it can stay in registers.
@@ -281,9 +386,79 @@ SyntheticWorkload::drawChunk(std::size_t n)
         const AccessKind kind = rng.nextBool(region.spec.storeShare)
                                     ? AccessKind::Store
                                     : AccessKind::Load;
-        chunk_[i] = DrawnAccess{vpn, kind};
+        out[i] = DrawnAccess{vpn, kind};
     }
     rng_ = rng;
+}
+
+bool
+SyntheticWorkload::goAhead(std::uint64_t accesses, bool &counted)
+{
+    if (accesses < kAheadMinAccesses)
+        return false;
+    switch (drawAheadMode.load(std::memory_order_relaxed)) {
+      case DrawAhead::Auto:
+        // A helper waiting awake is among the runnable threads already.
+        if (!claimSpareCpu(!ahead_ ||
+                           ahead_->asleep.load(std::memory_order_relaxed)))
+            return false;
+        counted = true;
+        break;
+      case DrawAhead::Never:
+        return false;
+      case DrawAhead::Always:
+        break;
+    }
+    if (!ahead_) {
+        auto ahead = std::make_unique<Ahead>();
+        try {
+            ahead->thread =
+                std::thread([this, &a = *ahead] { drawAheadLoop(a); });
+        } catch (const std::system_error &) {
+            // No thread to be had: draw inline, as on a busy machine.
+            if (counted)
+                releaseSpareCpu();
+            counted = false;
+            return false;
+        }
+        ahead_ = std::move(ahead);
+    }
+    return true;
+}
+
+void
+SyntheticWorkload::drawAheadLoop(Ahead &a)
+{
+    // Only allocation can throw in a draw (a Zipf sampler or its table).
+    // Escaping here, it ends the program, as it would through the sweep
+    // from the inline loop.
+    const auto stopped = [&a] {
+        return a.stop.load(std::memory_order_relaxed);
+    };
+    std::uint32_t batch = 0;
+    std::uint32_t drawn = 0;
+    for (;;) {
+        batch = awaitCounter(
+            a.posted, [batch](std::uint32_t v) { return v != batch; },
+            kWaitBetweenBatches, &a.asleep);
+        if (stopped())
+            return;
+        for (std::uint64_t left = a.accesses; left != 0;) {
+            // A slot is free once the caller has issued the chunk drawn
+            // into it one ring earlier.
+            awaitCounter(a.consumed, [&](std::uint32_t consumed) {
+                return drawn - consumed < Ahead::kRingChunks || stopped();
+            });
+            if (stopped())
+                return;
+            const std::size_t n =
+                static_cast<std::size_t>(std::min(left, a.chunk));
+            drawChunk(a.ring[drawn % Ahead::kRingChunks].data(), n);
+            a.drawn.store(++drawn, std::memory_order_release);
+            a.drawn.notify_one();
+            left -= n;
+        }
+    }
 }
 
 double
@@ -444,24 +619,55 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
     // alone is longer than a chunk. Pass 1 draws a chunk, pass 2 issues
     // it: the draws, the kernel accesses and the sum (think time, then
     // each access's latency, op by op) keep the order of one loop that
-    // draws and issues each access in turn.
+    // draws and issues each access in turn. A large batch hands pass 1
+    // to the draw-ahead helper, which draws the next chunks while this
+    // thread issues the last.
     const std::uint64_t chunk =
         per_op == 0 || per_op > kChunkAccesses
             ? kChunkAccesses
             : kChunkAccesses - kChunkAccesses % per_op;
     std::uint64_t in_op = 0;
-    for (std::uint64_t left = ops * per_op; left != 0;) {
-        const std::size_t n = static_cast<std::size_t>(std::min(left, chunk));
-        drawChunk(n);
+    const auto issue = [&](const DrawnAccess *drawn, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) {
             if (in_op == 0)
                 duration += think;
-            duration += issueAccess(kernel, chunk_[i].vpn, chunk_[i].kind,
+            duration += issueAccess(kernel, drawn[i].vpn, drawn[i].kind,
                                     result);
             if (++in_op == per_op)
                 in_op = 0;
         }
-        left -= n;
+    };
+    const std::uint64_t accesses = ops * per_op;
+    bool counted = false;
+    if (goAhead(accesses, counted)) {
+        Ahead &a = *ahead_;
+        a.accesses = accesses;
+        a.chunk = chunk;
+        const std::uint32_t first = a.consumed.load(std::memory_order_relaxed);
+        a.posted.fetch_add(1, std::memory_order_release);
+        a.posted.notify_one();
+        std::uint32_t issued = 0;
+        for (std::uint64_t left = accesses; left != 0;) {
+            const std::size_t n =
+                static_cast<std::size_t>(std::min(left, chunk));
+            awaitCounter(a.drawn, [first, issued](std::uint32_t drawn) {
+                return drawn - first > issued;
+            });
+            issue(a.ring[(first + issued) % Ahead::kRingChunks].data(), n);
+            a.consumed.store(first + ++issued, std::memory_order_release);
+            a.consumed.notify_one();
+            left -= n;
+        }
+        if (counted)
+            releaseSpareCpu();
+    } else {
+        for (std::uint64_t left = accesses; left != 0;) {
+            const std::size_t n =
+                static_cast<std::size_t>(std::min(left, chunk));
+            drawChunk(chunk_.data(), n);
+            issue(chunk_.data(), n);
+            left -= n;
+        }
     }
     if (kernel.eventQueue().now() != now)
         tpp_panic("simulated time moved inside a %s batch",

@@ -164,6 +164,12 @@ class SyntheticWorkload : public Workload
 {
   public:
     explicit SyntheticWorkload(WorkloadProfile profile);
+    /** Stops the draw-ahead helper, if one started. */
+    ~SyntheticWorkload() override;
+
+    // The draw-ahead helper holds `this`.
+    SyntheticWorkload(const SyntheticWorkload &) = delete;
+    SyntheticWorkload &operator=(const SyntheticWorkload &) = delete;
 
     std::string name() const override { return profile_.name; }
 
@@ -183,6 +189,17 @@ class SyntheticWorkload : public Workload
 
     /** Sum of full reservations over all permanent regions. */
     std::uint64_t totalReservedPages() const;
+
+    /** Which loop runOps() gives a batch of kAheadMinAccesses or more. */
+    enum class DrawAhead {
+        Auto,   //!< the draw-ahead helper while a CPU is spare
+        Never,  //!< the inline loop
+        Always, //!< the helper, spare CPU or not
+    };
+    /** Test seam: set the choice for every synthetic workload (Auto). */
+    static void setDrawAheadForTest(DrawAhead mode);
+    /** @return true once a batch went to the draw-ahead helper. */
+    bool helperStarted() const { return ahead_ != nullptr; }
 
   private:
     struct RegionState {
@@ -215,6 +232,8 @@ class SyntheticWorkload : public Workload
 
     /** Most accesses a batch draws before it issues them. */
     static constexpr std::size_t kChunkAccesses = 256;
+    /** Fewest accesses of a batch the draw-ahead helper draws. */
+    static constexpr std::uint64_t kAheadMinAccesses = 4 * kChunkAccesses;
 
     /** One access drawn by drawChunk(), waiting to be issued. */
     struct DrawnAccess {
@@ -240,8 +259,17 @@ class SyntheticWorkload : public Workload
      *  its geometry was computed. */
     void checkZipf(RegionState &region);
     Vpn sampleRegionVpn(RegionState &region, Rng &rng);
-    /** Draw the next `n` <= kChunkAccesses accesses into chunk_. */
-    void drawChunk(std::size_t n);
+    /** Draw the next `n` <= kChunkAccesses accesses into `out`. */
+    void drawChunk(DrawnAccess *out, std::size_t n);
+
+    struct Ahead;
+    /**
+     * Whether the helper draws a batch of `accesses`, started on first
+     * use; `counted` is set when it holds a CPU from claimSpareCpu().
+     */
+    bool goAhead(std::uint64_t accesses, bool &counted);
+    /** The helper thread's loop: draw each posted batch into the ring. */
+    void drawAheadLoop(Ahead &ahead);
     std::uint64_t activePages(const RegionState &region, Tick now) const;
     double runWarmupChunk(Kernel &kernel, BatchResult &result);
     double maintainTransients(Kernel &kernel, Tick now,
@@ -257,6 +285,8 @@ class SyntheticWorkload : public Workload
     std::vector<RegionState> regions_;
     std::vector<double> weightPrefix_;
     std::array<DrawnAccess, kChunkAccesses> chunk_;
+    /** The draw-ahead helper, made by the first batch it draws. */
+    std::unique_ptr<Ahead> ahead_;
     /** Any region phase-gated? False keeps the legacy static table. */
     bool anyPhased_ = false;
     /** Bitmask of per-region on/off states the table was built for. */

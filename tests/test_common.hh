@@ -19,6 +19,7 @@
 #include "mm/kernel.hh"
 #include "policy/default_linux.hh"
 #include "sim/logging.hh"
+#include "workloads/synthetic.hh"
 
 namespace tpp {
 namespace test {
@@ -86,6 +87,41 @@ class ScopedTap : public KernelAccessTap
     Kernel &kernel_;
     Fn fn_;
 };
+
+/**
+ * Sets which loop every synthetic workload's large batches take while
+ * it lives, then hands the choice back to the spare-CPU rule.
+ */
+class ScopedDrawAhead
+{
+  public:
+    explicit ScopedDrawAhead(SyntheticWorkload::DrawAhead mode)
+    {
+        SyntheticWorkload::setDrawAheadForTest(mode);
+    }
+    ~ScopedDrawAhead()
+    {
+        SyntheticWorkload::setDrawAheadForTest(
+            SyntheticWorkload::DrawAhead::Auto);
+    }
+
+    ScopedDrawAhead(const ScopedDrawAhead &) = delete;
+    ScopedDrawAhead &operator=(const ScopedDrawAhead &) = delete;
+};
+
+/** The loops a batch can take, forced: inline, then drawn ahead. */
+inline constexpr SyntheticWorkload::DrawAhead kBothLoops[] = {
+    SyntheticWorkload::DrawAhead::Never,
+    SyntheticWorkload::DrawAhead::Always,
+};
+
+/** "inline" or "drawn ahead", for a SCOPED_TRACE. */
+inline const char *
+loopName(SyntheticWorkload::DrawAhead mode)
+{
+    return mode == SyntheticWorkload::DrawAhead::Never ? "inline"
+                                                       : "drawn ahead";
+}
 
 /** FNV-1a over the eight bytes of `word`, for golden stream hashes. */
 inline std::uint64_t

@@ -12,10 +12,13 @@
  * paths were merged into one region engine, and pin that merge: build
  * order, fold arithmetic and harvest must all reproduce them exactly.
  * They also pin the move of every access consumer onto the kernel's
- * one access-event pipe (mm/access_tap.hh).
+ * one access-event pipe (mm/access_tap.hh), and each config runs twice:
+ * with every large workload batch drawn inline and drawn ahead.
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "test_common.hh"
@@ -152,6 +155,16 @@ const EngineCase kCases[] = {
 
 class EngineGolden : public ::testing::TestWithParam<EngineCase> {};
 
+/** `hash` as 0x and 16 hex digits, so a mismatch prints readably. */
+std::string
+hex(std::uint64_t hash)
+{
+    char text[24];
+    std::snprintf(text, sizeof text, "0x%016llx",
+                  static_cast<unsigned long long>(hash));
+    return text;
+}
+
 TEST_P(EngineGolden, FingerprintIsPinned)
 {
     setLogVerbose(false);
@@ -164,22 +177,59 @@ TEST_P(EngineGolden, FingerprintIsPinned)
     cfg.measureFrom = 1500 * kMillisecond;
     cfg.seed = 3;
     c.configure(cfg);
-    const ExperimentResult r = runExperiment(cfg);
-
-    EXPECT_GT(r.throughput, 0.0);
-    char actual[24];
-    std::snprintf(actual, sizeof actual, "0x%016llx",
-                  static_cast<unsigned long long>(test::resultFingerprint(r)));
-    char expected[24];
-    std::snprintf(expected, sizeof expected, "0x%016llx",
-                  static_cast<unsigned long long>(c.fingerprint));
-    EXPECT_STREQ(actual, expected) << c.tag;
+    for (const SyntheticWorkload::DrawAhead loop : test::kBothLoops) {
+        const test::ScopedDrawAhead seam(loop);
+        const ExperimentResult r = runExperiment(cfg);
+        EXPECT_GT(r.throughput, 0.0);
+        EXPECT_EQ(hex(test::resultFingerprint(r)), hex(c.fingerprint))
+            << c.tag << ", " << test::loopName(loop);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, EngineGolden, ::testing::ValuesIn(kCases),
                          [](const auto &info) {
                              return std::string(info.param.tag);
                          });
+
+/** Expect one resultFingerprint of `cfg` whichever loop large batches take. */
+void
+expectSameBothWays(const ExperimentConfig &cfg)
+{
+    std::vector<std::string> prints;
+    for (const SyntheticWorkload::DrawAhead loop : test::kBothLoops) {
+        const test::ScopedDrawAhead seam(loop);
+        prints.push_back(hex(test::resultFingerprint(runExperiment(cfg))));
+    }
+    EXPECT_EQ(prints[0], prints[1]);
+}
+
+TEST(EngineDrawAhead, Fig16Cache1TppMatchesInline)
+{
+    setLogVerbose(false);
+    ExperimentConfig cfg;
+    cfg.workload = "cache1";
+    cfg.policy = "tpp";
+    cfg.wssPages = 4096;
+    cfg.localFraction = parseRatio("1:4");
+    cfg.runUntil = 3 * kSecond;
+    cfg.measureFrom = 1500 * kMillisecond;
+    expectSameBothWays(cfg);
+}
+
+TEST(EngineDrawAhead, DwhBesideChurnTenantsMatchInline)
+{
+    // An open-loop victim whose service calls stay inline beside a
+    // closed-loop antagonist whose batches go ahead, on one kernel.
+    setLogVerbose(false);
+    ExperimentConfig cfg;
+    cfg.policy = "tpp";
+    cfg.wssPages = 4096;
+    cfg.localFraction = parseRatio("1:4");
+    cfg.runUntil = 3 * kSecond;
+    cfg.measureFrom = 1500 * kMillisecond;
+    cfg.tenants = *parseTenants("dwh:qps=200000:slo=500:low=0.5;churn");
+    expectSameBothWays(cfg);
+}
 
 } // namespace
 } // namespace tpp

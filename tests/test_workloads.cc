@@ -5,7 +5,9 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "core/tpp_policy.hh"
@@ -19,6 +21,7 @@ namespace {
 
 using test::fnv1a;
 using test::TestMachine;
+using DrawAhead = SyntheticWorkload::DrawAhead;
 
 WorkloadProfile
 tinyProfile()
@@ -170,7 +173,8 @@ TEST(SyntheticWorkload, ObserverSeesEveryAccess)
 // its summed batch results, pinned bit for bit. Batches run on a 1:4 TPP
 // machine with the clock stepped between them, so growth, rotation,
 // churn, phase flips and transients all fall inside the pinned span,
-// and the latency totals pin the kernel's access path too.
+// and the latency totals pin the kernel's access path too. Each golden
+// is checked with large batches drawn inline and drawn ahead.
 // ---------------------------------------------------------------------
 
 struct StreamGolden {
@@ -182,28 +186,36 @@ struct StreamGolden {
     double memLatencyNs;
 };
 
+/** What runStream() saw. */
+struct StreamRun {
+    StreamGolden totals{};
+    /** Some batch went to the draw-ahead helper. */
+    bool helperStarted = false;
+};
+
 /**
  * Run `profile` on a TPP machine with `wss_pages` / 4 local and
  * `wss_pages` CXL pages: at each tick of `ticks` (increasing), run the
- * event queue up to that tick, then one batch of `ops` operations.
- * Check the stream and batch totals against `golden`.
+ * event queue up to that tick, then one batch of `ops` operations, with
+ * the batch loop forced to `loop`. Return the hash of the stream and
+ * the summed batch results.
  */
-void
-expectStreamGoldenAt(const WorkloadProfile &profile,
-                     std::uint64_t wss_pages,
-                     const std::vector<Tick> &ticks, std::uint64_t ops,
-                     const StreamGolden &golden)
+StreamRun
+runStream(const WorkloadProfile &profile, std::uint64_t wss_pages,
+          const std::vector<Tick> &ticks, std::uint64_t ops,
+          DrawAhead loop)
 {
-    SCOPED_TRACE(golden.name);
+    const test::ScopedDrawAhead seam(loop);
     TestMachine m(wss_pages / 4, wss_pages, std::make_unique<TppPolicy>());
     SyntheticWorkload wl(profile);
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    test::ScopedTap tap(m.kernel, [&hash](const AccessEvent &e) {
-        hash = fnv1a(hash, e.vpn);
-        hash = fnv1a(hash, static_cast<std::uint64_t>(e.kind));
+    StreamRun run;
+    StreamGolden &totals = run.totals;
+    totals.hash = 0xcbf29ce484222325ULL;
+    test::ScopedTap tap(m.kernel, [&totals](const AccessEvent &e) {
+        totals.hash = fnv1a(totals.hash, e.vpn);
+        totals.hash = fnv1a(totals.hash, static_cast<std::uint64_t>(e.kind));
     });
     wl.init(m.kernel);
-    BatchResult totals;
     for (const Tick tick : ticks) {
         if (tick > m.eq.now())
             m.eq.run(tick);
@@ -213,11 +225,28 @@ expectStreamGoldenAt(const WorkloadProfile &profile,
         totals.durationNs += r.durationNs;
         totals.memLatencyNs += r.memLatencyNs;
     }
-    EXPECT_EQ(hash, golden.hash);
-    EXPECT_EQ(totals.ops, golden.ops);
-    EXPECT_EQ(totals.accesses, golden.accesses);
-    EXPECT_EQ(totals.durationNs, golden.durationNs);
-    EXPECT_EQ(totals.memLatencyNs, golden.memLatencyNs);
+    run.helperStarted = wl.helperStarted();
+    return run;
+}
+
+/** Check runStream()'s results both ways against `golden`. */
+void
+expectStreamGoldenAt(const WorkloadProfile &profile,
+                     std::uint64_t wss_pages,
+                     const std::vector<Tick> &ticks, std::uint64_t ops,
+                     const StreamGolden &golden)
+{
+    SCOPED_TRACE(golden.name);
+    for (const DrawAhead loop : test::kBothLoops) {
+        SCOPED_TRACE(test::loopName(loop));
+        const StreamGolden totals =
+            runStream(profile, wss_pages, ticks, ops, loop).totals;
+        EXPECT_EQ(totals.hash, golden.hash);
+        EXPECT_EQ(totals.ops, golden.ops);
+        EXPECT_EQ(totals.accesses, golden.accesses);
+        EXPECT_EQ(totals.durationNs, golden.durationNs);
+        EXPECT_EQ(totals.memLatencyNs, golden.memLatencyNs);
+    }
 }
 
 /** The ticks of `batches` batches, one every 100 ms from tick 0. */
@@ -451,6 +480,76 @@ TEST(AccessStreamGolden, EveryBranchProfileOpSizes)
                         0x1.18b7e6cp+27, 0x1.0e3cdd4p+27});
 }
 
+TEST(AccessStreamGolden, DrawnAheadMatchesInlineAroundTheThreshold)
+{
+    // Batches one access short of the draw-ahead threshold, on it and
+    // one past it; no access per op; and ops longer than a chunk.
+    struct Case {
+        std::uint32_t perOp;
+        std::uint64_t ops;
+        bool ahead; //!< the batch reaches the threshold
+    };
+    const Case cases[] = {
+        {1, 1023, false}, {1, 1024, true}, {1, 1025, true},
+        {0, 2000, false}, {300, 3, false}, {300, 4, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << c.perOp << " per op x " << c.ops);
+        WorkloadProfile p = everyBranchProfile();
+        p.accessesPerOp = c.perOp;
+        const StreamRun inline_run =
+            runStream(p, 3072, everyHundredMs(30), c.ops, DrawAhead::Never);
+        const StreamRun ahead_run =
+            runStream(p, 3072, everyHundredMs(30), c.ops, DrawAhead::Always);
+        EXPECT_FALSE(inline_run.helperStarted);
+        EXPECT_EQ(ahead_run.helperStarted, c.ahead);
+        EXPECT_EQ(ahead_run.totals.hash, inline_run.totals.hash);
+        EXPECT_EQ(ahead_run.totals.ops, inline_run.totals.ops);
+        EXPECT_EQ(ahead_run.totals.accesses, inline_run.totals.accesses);
+        EXPECT_EQ(ahead_run.totals.durationNs, inline_run.totals.durationNs);
+        EXPECT_EQ(ahead_run.totals.memLatencyNs,
+                  inline_run.totals.memLatencyNs);
+    }
+}
+
+TEST(SyntheticWorkload, HelperStopsInEveryState)
+{
+    // Workloads are destroyed with a helper that never started, that
+    // has just drawn its last chunk, that spins between batches, and
+    // that sleeps on the posted counter: that one wakes only when the
+    // counter changes. Each owns 25 batches, big and small in turn.
+    using namespace std::chrono_literals;
+    const test::ScopedDrawAhead seam(DrawAhead::Always);
+    const std::chrono::microseconds pauses[] = {0us, 50us, 5ms};
+    struct Run {
+        TestMachine m{2048, 2048};
+        SyntheticWorkload wl{tinyProfile()};
+    };
+    std::unique_ptr<Run> run;
+    int started = 0;
+    for (int batch = 0; batch < 1000; ++batch) {
+        if (batch % 25 == 0) {
+            if (run) {
+                started += run->wl.helperStarted();
+                std::this_thread::sleep_for(pauses[batch / 25 % 3]);
+            }
+            run = std::make_unique<Run>();
+            run->wl.init(run->m.kernel);
+        }
+        // Two accesses per op: 512 ops reach the threshold, 8 do not.
+        const std::uint64_t ops = batch % 2 == 0 ? 512 : 8;
+        EXPECT_EQ(run->wl.runOps(run->m.kernel, ops).accesses, 2 * ops);
+    }
+    run.reset();
+    EXPECT_EQ(started, 39);
+    TestMachine m(2048, 2048);
+    SyntheticWorkload small(tinyProfile());
+    small.init(m.kernel);
+    small.runOps(m.kernel, 8);
+    EXPECT_FALSE(small.helperStarted());
+    SyntheticWorkload unused(tinyProfile());
+}
+
 TEST(AccessStreamGolden, GrowingAndShrinkingRegions)
 {
     // Active pages move on every batch, up to the reservation and down
@@ -580,6 +679,21 @@ TEST(SyntheticWorkloadDeathTest, ClockMovingInsideABatchPanics)
     });
     wl.init(m.kernel);
     EXPECT_DEATH(wl.runBatch(m.kernel), "simulated time moved");
+}
+
+TEST(SyntheticWorkloadDeathTest, ClockMovingInsideADrawnAheadBatchPanics)
+{
+    // The batch owns a helper thread, which a forked child would lack.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    setLogVerbose(false);
+    const test::ScopedDrawAhead seam(DrawAhead::Always);
+    TestMachine m(2048, 2048);
+    SyntheticWorkload wl(tinyProfile());
+    test::ScopedTap tap(m.kernel, [&m](const AccessEvent &) {
+        m.eq.run(m.eq.now() + 1);
+    });
+    wl.init(m.kernel);
+    EXPECT_DEATH(wl.runOps(m.kernel, 512), "simulated time moved");
 }
 
 TEST(SyntheticWorkloadDeathTest, NegativeOrNanAccessWeightIsFatal)
