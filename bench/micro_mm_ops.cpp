@@ -10,9 +10,10 @@
  * report pages/sec rate counters. Together with the pages_per_sec
  * counters on the fault, reclaim-scan and LRU-surgery benchmarks, the
  * accesses_per_sec counters on the resident access (bare and with one
- * access tap attached) and on one cache1 workload batch (the layer
- * that dominates figure runs; inline and drawn ahead on a second CPU),
- * the Zipf draw and short-lived
+ * access tap attached), on one cache1 workload batch (the layer
+ * that dominates figure runs; inline and drawn ahead on a second CPU)
+ * and on phased's open-loop service calls drawn ahead, the Zipf draw
+ * and short-lived
  * distribution rates, and the requests_per_sec of an open-loop service
  * run, they feed the CI perf gate:
  *
@@ -160,52 +161,76 @@ BM_AccessResidentSink(benchmark::State &state)
 BENCHMARK(BM_AccessResidentSink);
 
 /**
+ * The fig16 machine: wss 32768 at local:CXL 1:4 under TPP, running
+ * `profile` (built for that wss), warmed for one simulated second of
+ * batches with `mode` picking the loop that draws its accesses. The
+ * clock steps by a batch's duration, as the workload driver steps it.
+ */
+struct Fig16Workload {
+    static constexpr std::uint64_t kWss = 32768;
+
+    EventQueue eq;
+    MemorySystem mem;
+    Kernel kernel;
+    SyntheticWorkload wl;
+
+    Fig16Workload(WorkloadProfile profile, SyntheticWorkload::DrawAhead mode)
+        : mem(TopologyBuilder::cxlSystem(local(), total() - local())),
+          kernel(mem, eq, std::make_unique<TppPolicy>()),
+          wl(std::move(profile))
+    {
+        setLogVerbose(false);
+        kernel.start();
+        SyntheticWorkload::setDrawAheadForTest(mode);
+        wl.init(kernel);
+        while (!wl.warmedUp() || eq.now() < kSecond)
+            step(wl.runBatch(kernel).durationNs);
+    }
+    ~Fig16Workload()
+    {
+        SyntheticWorkload::setDrawAheadForTest(
+            SyntheticWorkload::DrawAhead::Auto);
+    }
+
+    static std::uint64_t
+    total()
+    {
+        return static_cast<std::uint64_t>(static_cast<double>(kWss) * 1.03);
+    }
+    static std::uint64_t local() { return total() / 5; }
+
+    /** Run the event queue over `ns` of simulated time (at least 1). */
+    void
+    step(double ns)
+    {
+        eq.run(eq.now() + std::max<Tick>(1, static_cast<Tick>(ns)));
+    }
+};
+
+/**
  * The layer that takes most of the host time in figure runs: one cache1
  * operation batch (access generation, Kernel::access, the latency
- * model) on the fig16 machine, wss 32768 at local:CXL 1:4 under TPP,
- * warmed for one simulated second first. Between batches the clock
- * steps by the batch's duration, as the workload driver steps it, with
- * the timer paused while the policy daemons run. `mode` picks the loop
- * a batch takes.
+ * model) on the fig16 machine, with the timer paused while the policy
+ * daemons run between batches. `mode` picks the loop that draws it.
  */
 void
 syntheticBatch(benchmark::State &state, SyntheticWorkload::DrawAhead mode)
 {
-    const std::uint64_t wss = 32768;
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(static_cast<double>(wss) * 1.03);
-    const std::uint64_t local = total / 5;
-    EventQueue eq;
-    MemorySystem mem(TopologyBuilder::cxlSystem(local, total - local));
-    Kernel kernel(mem, eq, std::make_unique<TppPolicy>());
-    setLogVerbose(false);
-    kernel.start();
-    SyntheticWorkload::setDrawAheadForTest(mode);
-    SyntheticWorkload wl(profiles::cache1(wss));
-    wl.init(kernel);
-    const auto step = [&](const BatchResult &batch) {
-        eq.run(eq.now() +
-               std::max<Tick>(1, static_cast<Tick>(batch.durationNs)));
-    };
-    while (!wl.warmedUp() || eq.now() < kSecond)
-        step(wl.runBatch(kernel));
-
+    Fig16Workload fig(profiles::cache1(Fig16Workload::kWss), mode);
     std::uint64_t accesses = 0;
     for (auto _ : state) {
-        const BatchResult batch = wl.runBatch(kernel);
+        const BatchResult batch = fig.wl.runBatch(fig.kernel);
         benchmark::DoNotOptimize(batch);
         accesses += batch.accesses;
         state.PauseTiming();
-        step(batch);
+        fig.step(batch.durationNs);
         state.ResumeTiming();
     }
     state.counters["accesses_per_sec"] = benchmark::Counter(
         static_cast<double>(accesses), benchmark::Counter::kIsRate);
-    SyntheticWorkload::setDrawAheadForTest(SyntheticWorkload::DrawAhead::Auto);
 }
 
-/** A batch on the inline loop, which open-loop calls and sweeps with a
- *  job per CPU take. */
+/** A batch on the inline loop, which sweeps with a job per CPU take. */
 void
 BM_SyntheticBatch(benchmark::State &state)
 {
@@ -213,18 +238,57 @@ BM_SyntheticBatch(benchmark::State &state)
 }
 BENCHMARK(BM_SyntheticBatch)->Unit(benchmark::kMicrosecond);
 
-/** A batch drawn by the draw-ahead helper on a second CPU. */
+/** Skip `state` where the draw stream has no second CPU to run on. */
+bool
+skipWithoutSecondCpu(benchmark::State &state)
+{
+    if (allowedCpus() >= 2)
+        return false;
+    state.SkipWithError("skipped: the draw stream needs a second CPU, and "
+                        "this process has one");
+    return true;
+}
+
+/** A batch drawn by the draw stream on a second CPU. */
 void
 BM_SyntheticBatchAhead(benchmark::State &state)
 {
-    if (allowedCpus() < 2) {
-        state.SkipWithError("skipped: the draw-ahead helper needs a second "
-                            "CPU, and this process has one");
-        return;
-    }
-    syntheticBatch(state, SyntheticWorkload::DrawAhead::Always);
+    if (!skipWithoutSecondCpu(state))
+        syntheticBatch(state, SyntheticWorkload::DrawAhead::Always);
 }
 BENCHMARK(BM_SyntheticBatchAhead)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Open-loop service calls drawn by the draw stream on a second CPU:
+ * phased's calls of one or two ops (four accesses each) on the fig16
+ * machine. Each iteration makes 256 calls at one tick, then the clock
+ * steps by their summed duration with the timer paused, so the stream
+ * parks and rewinds wherever a step reaches a rotation step, phase edge
+ * or transient allocation.
+ */
+void
+BM_SyntheticServiceCalls(benchmark::State &state)
+{
+    if (skipWithoutSecondCpu(state))
+        return;
+    Fig16Workload fig(profiles::phased(Fig16Workload::kWss),
+                      SyntheticWorkload::DrawAhead::Always);
+    std::uint64_t accesses = 0;
+    for (auto _ : state) {
+        double duration = 0.0;
+        for (std::uint64_t call = 0; call < 256; ++call) {
+            const BatchResult r = fig.wl.runOps(fig.kernel, 1 + call % 2);
+            accesses += r.accesses;
+            duration += r.durationNs;
+        }
+        state.PauseTiming();
+        fig.step(duration);
+        state.ResumeTiming();
+    }
+    state.counters["accesses_per_sec"] = benchmark::Counter(
+        static_cast<double>(accesses), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SyntheticServiceCalls)->Unit(benchmark::kMicrosecond);
 
 void
 BM_OpenLoopService(benchmark::State &state)

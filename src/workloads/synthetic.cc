@@ -19,13 +19,17 @@ std::atomic<SyntheticWorkload::DrawAhead> drawAheadMode{
     SyntheticWorkload::DrawAhead::Auto};
 
 /**
- * How long a side waits on a counter before it sleeps. Waking a sleeper
- * takes tens of microseconds on a virtual machine, longer than a chunk
- * takes to draw. Inside a batch both sides wait long enough to outlast
- * a slow access; between batches the helper waits across a short gap.
+ * How long a side checks a counter between yields of its CPU before it
+ * sleeps. Waking a sleeper takes tens of microseconds on a virtual
+ * machine, longer than a chunk takes to draw. The caller waits only for
+ * a chunk or for the helper to stop, so it waits long enough to outlast
+ * a slow draw. The helper waits for a ring slot or a new session, which
+ * take as long as the caller needs to issue a chunk or run a preamble:
+ * it checks for about the cost of a wake while its waits end that soon,
+ * and sleeps at once after a wait that outlasted that.
  */
-constexpr std::chrono::microseconds kWaitInBatch{2000};
-constexpr std::chrono::microseconds kWaitBetweenBatches{500};
+constexpr std::chrono::microseconds kCallerWait{2000};
+constexpr std::chrono::microseconds kHelperWait{50};
 
 /**
  * Wait until `done` holds for the value of `counter`, read with acquire
@@ -37,7 +41,7 @@ constexpr std::chrono::microseconds kWaitBetweenBatches{500};
 template <typename Done>
 std::uint32_t
 awaitCounter(const std::atomic<std::uint32_t> &counter, Done &&done,
-             std::chrono::microseconds wait = kWaitInBatch,
+             std::chrono::microseconds wait,
              std::atomic<bool> *asleep = nullptr)
 {
     using Clock = std::chrono::steady_clock;
@@ -65,33 +69,82 @@ awaitCounter(const std::atomic<std::uint32_t> &counter, Done &&done,
 } // namespace
 
 /**
- * The draw-ahead helper of one workload: a thread that runs pass 1 of a
- * batch (drawChunk) into a ring of chunks while the caller runs pass 2
- * on each published chunk. Each counter is written by one side only:
- *  - posted (caller, release): a batch's size is set. The helper
- *    acquires it before it reads the size or the draw state;
- *  - drawn (helper, release): chunks published. The caller acquires it
- *    before it issues a chunk, and after a batch's last chunk before it
- *    touches rng_, the regions' Zipf state or weightPrefix_ again;
- *  - consumed (caller, release): chunks issued. The helper acquires it
- *    before it draws over the ring slot of an issued chunk.
- * Shutdown sets `stop`, then changes posted and consumed, so a helper
- * asleep on either wakes: atomic::wait sleeps until the value changes.
+ * The draw stream of one workload: a helper thread draws the workload's
+ * accesses into a ring of chunks ahead of the calling thread, which
+ * issues them in order across chunk and call boundaries. A session is
+ * a stretch in which the helper may draw. The caller starts one after
+ * any preamble, and it ends when the caller parks it before a preamble
+ * that writes the draw state, or when the helper reaches a hot draw of
+ * a region whose lazy Zipf check has not run: only the caller runs
+ * that check, once it reaches the draw. During a session only the
+ * helper touches the draw state (rng_, weightPrefix_, draws_), and
+ * between sessions only the caller. Each counter is written by one
+ * side, with release order, and read with acquire order:
+ *  - session (caller): a new session's start carries every preamble
+ *    write to the draw state to the helper;
+ *  - consumed (caller): chunks issued, so the caller's reads of a slot
+ *    come before the helper draws over it;
+ *  - drawn (helper): chunks published, each before the caller issues
+ *    it;
+ *  - ended (helper): the last session in which the helper has stopped
+ *    drawing, with rng_ at its first undrawn access, before the caller
+ *    touches the draw state again.
+ * The helper sleeps on control, which the caller bumps after each
+ * change to session or consumed.
  */
-struct SyntheticWorkload::Ahead {
+struct SyntheticWorkload::Stream {
     static constexpr std::uint32_t kRingChunks = 8;
+    /** The session value that makes the helper exit. */
+    static constexpr std::uint32_t kShutdown = ~std::uint32_t{0};
 
-    std::array<std::array<DrawnAccess, kChunkAccesses>, kRingChunks> ring;
-    /** The posted batch: its accesses and the most per chunk. */
-    std::uint64_t accesses = 0;
-    std::uint64_t chunk = 0;
-    std::atomic<bool> stop{false};
-    /** The helper sleeps between batches (it is not runnable). */
-    std::atomic<bool> asleep{false};
-    alignas(64) std::atomic<std::uint32_t> posted{0};
+    struct Chunk {
+        /** The Rng before the chunk's first draw. */
+        Rng start;
+        std::uint32_t count = 0; //!< accesses drawn
+        /** The region whose Zipf check ended the session after the
+         *  chunk, or kNoCheck. */
+        std::uint32_t check = kNoCheck;
+        std::array<DrawnAccess, kChunkAccesses> accesses;
+    };
+
+    std::array<Chunk, kRingChunks> ring;
+    // Written by the caller.
+    /** Odd while a session runs, even once parked, or kShutdown. */
+    alignas(64) std::atomic<std::uint32_t> session{0};
+    /** Chunks issued; the helper draws over a slot only after. */
+    std::atomic<std::uint32_t> consumed{0};
+    std::atomic<std::uint32_t> control{0};
+    // Written by the helper.
     alignas(64) std::atomic<std::uint32_t> drawn{0};
-    alignas(64) std::atomic<std::uint32_t> consumed{0};
+    /** The helper sleeps (it is not runnable). */
+    std::atomic<bool> asleep{false};
+    alignas(64) std::atomic<std::uint32_t> ended{0};
+
+    // The caller's own.
+    alignas(64) std::uint32_t next = 0; //!< the chunk being issued
+    std::uint32_t read = 0;             //!< its accesses issued
+    std::uint32_t published = 0;        //!< drawn, as last acquired
+    bool running = false;               //!< a session runs
+    bool claimed = false; //!< holds a CPU from claimSpareCpu()
     std::thread thread;
+
+    /** Wake the helper to a change of session or consumed. */
+    void
+    signal()
+    {
+        control.fetch_add(1, std::memory_order_release);
+        control.notify_one();
+    }
+
+    /** Wait until the helper has stopped drawing in session `id`. */
+    void
+    awaitEnded(std::uint32_t id)
+    {
+        awaitCounter(
+            ended, [id](std::uint32_t value) { return value == id; },
+            kCallerWait);
+        running = false;
+    }
 };
 
 SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
@@ -106,15 +159,14 @@ SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile)
 
 SyntheticWorkload::~SyntheticWorkload()
 {
-    if (!ahead_)
+    if (!stream_)
         return;
-    Ahead &a = *ahead_;
-    a.stop.store(true, std::memory_order_relaxed);
-    a.posted.fetch_add(1, std::memory_order_release);
-    a.posted.notify_one();
-    a.consumed.fetch_add(1, std::memory_order_release);
-    a.consumed.notify_one();
-    a.thread.join();
+    Stream &s = *stream_;
+    s.session.store(Stream::kShutdown, std::memory_order_release);
+    s.signal();
+    s.thread.join();
+    if (s.claimed)
+        releaseSpareCpu();
 }
 
 void
@@ -140,11 +192,17 @@ SyntheticWorkload::init(Kernel &kernel)
                       spec.label.c_str(), spec.accessWeight);
         RegionState state;
         state.spec = spec;
-        state.base = kernel.mmap(asid_, spec.pages, spec.type, spec.label,
-                                 spec.diskBacked);
         state.createdAt = kernel.eventQueue().now();
         state.lastChurn = state.createdAt;
         regions_.push_back(std::move(state));
+        RegionDraw draw;
+        draw.base = kernel.mmap(asid_, spec.pages, spec.type, spec.label,
+                                spec.diskBacked);
+        draw.hotShare = spec.hotAccessShare;
+        draw.hotOrEchoShare = spec.hotAccessShare + spec.echoShare;
+        draw.storeShare = spec.storeShare;
+        draw.zipfTheta = spec.zipfTheta;
+        draws_.push_back(std::move(draw));
         acc += spec.accessWeight;
         weightPrefix_.push_back(acc);
         if (spec.phasePeriod != 0) {
@@ -228,7 +286,7 @@ SyntheticWorkload::nextPhaseEdge(const RegionSpec &spec, Tick now) const
 void
 SyntheticWorkload::refreshPhaseWeights(Tick now)
 {
-    // Rebuild the prefix table only on the batch where some region
+    // Rebuild the prefix table only on the call where some region
     // crossed a phase edge, and look at the regions only once one can
     // have.
     if (now < phaseValidUntil_)
@@ -246,6 +304,7 @@ SyntheticWorkload::refreshPhaseWeights(Tick now)
     }
     if (mask == phaseMask_)
         return;
+    parkStream();
     phaseMask_ = mask;
     double acc = 0.0;
     for (std::size_t i = 0; i < regions_.size(); ++i) {
@@ -266,13 +325,15 @@ SyntheticWorkload::refreshGeometry(Tick now)
 {
     // Geometry is a function of the ticks since the region's last churn
     // alone, through its active pages and its rotation step count. Skip
-    // the work until one of them can move. Nothing else moves hotPages
-    // or active, so the lazy Zipf check of sampleRegionVpn() would
-    // repeat its last answer until then and keeps its zipfChecked flag.
+    // the work until one of them can move. A region whose geometry comes
+    // out as it was keeps its draw state, check flag included: nothing
+    // else moves hotPages or active, so its lazy Zipf check would repeat
+    // its last answer.
     if (now < geometryValidUntil_)
         return;
     geometryValidUntil_ = kMaxTick;
-    for (RegionState &region : regions_) {
+    for (std::size_t i = 0; i < regions_.size(); ++i) {
+        const RegionState &region = regions_[i];
         const RegionSpec &spec = region.spec;
         const std::uint64_t active = activePages(region, now);
         const std::uint64_t hot_pages = std::max<std::uint64_t>(
@@ -302,28 +363,33 @@ SyntheticWorkload::refreshGeometry(Tick now)
             (spec.growthPagesPerSec > 0.0 && active < spec.pages);
         if (growing)
             geometryValidUntil_ = std::min(geometryValidUntil_, now + 1);
-        region.active = active;
-        region.hotPages = hot_pages;
-        region.hotStart = hot_start;
-        region.uniformThreshold = (0 - active) % active;
-        region.zipfChecked = false;
+        RegionDraw &draw = draws_[i];
+        if (draw.active == active && draw.hotPages == hot_pages &&
+            draw.hotStart == hot_start)
+            continue;
+        parkStream();
+        draw.active = active;
+        draw.hotPages = hot_pages;
+        draw.hotStart = hot_start;
+        draw.uniformThreshold = (0 - active) % active;
+        draw.zipfChecked = false;
     }
 }
 
 void
-SyntheticWorkload::checkZipf(RegionState &region)
+SyntheticWorkload::checkZipf(RegionDraw &region)
 {
     // Rebuild the Zipf sampler only when the hot-set size moved
     // noticeably; construction is cheap but not free. Decided at the
-    // first hot draw after the geometry was computed: deciding at batch
-    // start would also rebuild in batches that draw nothing hot here,
-    // which changes the stream.
+    // first hot draw after the geometry moved: deciding at call start
+    // would also rebuild in calls that draw nothing hot here, which
+    // changes the stream.
     const std::uint64_t hot_pages = region.hotPages;
     if (!region.zipf ||
         (region.cachedHotPages != hot_pages &&
          (hot_pages > region.cachedHotPages + region.cachedHotPages / 64 ||
           hot_pages + hot_pages / 64 < region.cachedHotPages))) {
-        region.zipf.emplace(hot_pages, region.spec.zipfTheta);
+        region.zipf.emplace(hot_pages, region.zipfTheta);
         region.cachedHotPages = hot_pages;
     }
     region.zipfChecked = true;
@@ -332,16 +398,13 @@ SyntheticWorkload::checkZipf(RegionState &region)
 }
 
 inline Vpn
-SyntheticWorkload::sampleRegionVpn(RegionState &region, Rng &rng)
+SyntheticWorkload::sampleRegionVpn(RegionDraw &region, double roll,
+                                   Rng &rng)
 {
-    const RegionSpec &spec = region.spec;
     const std::uint64_t active = region.active;
     std::uint64_t offset;
-    const double roll = rng.nextDouble();
-    if (roll < spec.hotAccessShare + spec.echoShare) {
-        if (!region.zipfChecked)
-            checkZipf(region);
-        if (roll < spec.hotAccessShare) {
+    if (roll < region.hotOrEchoShare) {
+        if (roll < region.hotShare) {
             ZipfDistribution &zipf = *region.zipf;
             std::uint64_t rank;
             if (zipf.tabled()) {
@@ -370,94 +433,215 @@ SyntheticWorkload::sampleRegionVpn(RegionState &region, Rng &rng)
     return region.base + offset;
 }
 
-void
-SyntheticWorkload::drawChunk(DrawnAccess *out, std::size_t n)
+template <bool kStopAtCheck>
+inline std::size_t
+SyntheticWorkload::drawAccesses(DrawnAccess *out, std::size_t n,
+                                Rng &state, std::uint32_t &check)
 {
     // Draw from a local copy of the Rng, written back once. Nothing in
     // this loop takes its address, so it can stay in registers.
-    Rng rng = rng_;
+    Rng rng = state;
     const double *prefix = weightPrefix_.data();
     const std::size_t count = weightPrefix_.size();
     const double total_weight = prefix[count - 1];
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+        const Rng start = rng;
         const double pick = rng.nextDouble() * total_weight;
-        RegionState &region = regions_[pickWeighted(prefix, count, pick)];
-        const Vpn vpn = sampleRegionVpn(region, rng);
-        const AccessKind kind = rng.nextBool(region.spec.storeShare)
+        const std::size_t index = pickWeighted(prefix, count, pick);
+        RegionDraw &region = draws_[index];
+        const double roll = rng.nextDouble();
+        if (roll < region.hotOrEchoShare && !region.zipfChecked)
+            [[unlikely]] {
+            if constexpr (kStopAtCheck) {
+                rng = start;
+                check = static_cast<std::uint32_t>(index);
+                break;
+            } else {
+                checkZipf(region);
+            }
+        }
+        const Vpn vpn = sampleRegionVpn(region, roll, rng);
+        const AccessKind kind = rng.nextBool(region.storeShare)
                                     ? AccessKind::Store
                                     : AccessKind::Load;
         out[i] = DrawnAccess{vpn, kind};
     }
-    rng_ = rng;
+    state = rng;
+    return i;
 }
 
 bool
-SyntheticWorkload::goAhead(std::uint64_t accesses, bool &counted)
+SyntheticWorkload::startStream()
 {
-    if (accesses < kAheadMinAccesses)
-        return false;
+    mayStart_ = false;
+    bool claimed = false;
     switch (drawAheadMode.load(std::memory_order_relaxed)) {
       case DrawAhead::Auto:
         // A helper waiting awake is among the runnable threads already.
-        if (!claimSpareCpu(!ahead_ ||
-                           ahead_->asleep.load(std::memory_order_relaxed)))
+        if (!claimSpareCpu(!stream_ ||
+                           stream_->asleep.load(std::memory_order_relaxed)))
             return false;
-        counted = true;
+        claimed = true;
         break;
       case DrawAhead::Never:
         return false;
       case DrawAhead::Always:
         break;
     }
-    if (!ahead_) {
-        auto ahead = std::make_unique<Ahead>();
+    if (!stream_) {
+        auto stream = std::make_unique<Stream>();
         try {
-            ahead->thread =
-                std::thread([this, &a = *ahead] { drawAheadLoop(a); });
+            stream->thread =
+                std::thread([this, &s = *stream] { drawAheadLoop(s); });
         } catch (const std::system_error &) {
             // No thread to be had: draw inline, as on a busy machine.
-            if (counted)
+            if (claimed)
                 releaseSpareCpu();
-            counted = false;
             return false;
         }
-        ahead_ = std::move(ahead);
+        stream_ = std::move(stream);
     }
+    stream_->claimed = claimed;
+    startSession();
     return true;
 }
 
 void
-SyntheticWorkload::drawAheadLoop(Ahead &a)
+SyntheticWorkload::startSession()
 {
-    // Only allocation can throw in a draw (a Zipf sampler or its table).
+    Stream &s = *stream_;
+    // The next odd value: a session that ended by itself is still odd.
+    s.session.store((s.session.load(std::memory_order_relaxed) + 1) | 1,
+                    std::memory_order_release);
+    s.running = true;
+    s.signal();
+}
+
+void
+SyntheticWorkload::parkStream()
+{
+    mayStart_ = true;
+    if (!stream_ || !stream_->running)
+        return;
+    Stream &s = *stream_;
+    const std::uint32_t id = s.session.load(std::memory_order_relaxed);
+    s.session.store(id + 1, std::memory_order_release);
+    s.signal();
+    s.awaitEnded(id);
+    // Rewind rng_ to the first access not yet issued: to the start of
+    // the chunk in hand, then past its issued accesses, which draw as
+    // they did (their regions' checks have run, and nothing moved
+    // since). Without a chunk in hand, the helper left it there.
+    const std::uint32_t drawn = s.drawn.load(std::memory_order_relaxed);
+    if (s.next != drawn) {
+        rng_ = s.ring[s.next % Stream::kRingChunks].start;
+        std::uint32_t check = kNoCheck;
+        if (drawAccesses<true>(chunk_.data(), s.read, rng_, check) != s.read)
+            tpp_panic("%s: an issued draw needs a Zipf check on rewind",
+                      profile_.name.c_str());
+    }
+    s.next = s.published = drawn;
+    s.read = 0;
+    s.consumed.store(drawn, std::memory_order_release);
+    if (s.claimed) {
+        releaseSpareCpu();
+        s.claimed = false;
+    }
+}
+
+const SyntheticWorkload::DrawnAccess *
+SyntheticWorkload::nextAccesses(std::size_t &n)
+{
+    if (!(stream_ && stream_->running) && !(mayStart_ && startStream())) {
+        std::uint32_t check = kNoCheck;
+        drawAccesses<false>(chunk_.data(), n, rng_, check);
+        return chunk_.data();
+    }
+    Stream &s = *stream_;
+    for (;;) {
+        if (s.next == s.published) {
+            s.published = awaitCounter(
+                s.drawn, [&s](std::uint32_t drawn) { return drawn != s.next; },
+                kCallerWait);
+            continue;
+        }
+        const Stream::Chunk &chunk = s.ring[s.next % Stream::kRingChunks];
+        if (s.read < chunk.count) {
+            n = std::min<std::size_t>(n, chunk.count - s.read);
+            const DrawnAccess *out = chunk.accesses.data() + s.read;
+            s.read += static_cast<std::uint32_t>(n);
+            return out;
+        }
+        // The chunk is issued: hand its slot back.
+        const std::uint32_t check = chunk.check;
+        s.consumed.store(++s.next, std::memory_order_release);
+        s.read = 0;
+        if (check == kNoCheck) {
+            s.signal();
+            continue;
+        }
+        // The helper stopped before the next access, a hot draw of a
+        // region whose Zipf check has not run. That draw is now sure to
+        // be issued, so the check runs here, and the stream goes on.
+        s.awaitEnded(s.session.load(std::memory_order_relaxed));
+        checkZipf(draws_[check]);
+        startSession();
+    }
+}
+
+void
+SyntheticWorkload::drawAheadLoop(Stream &s)
+{
+    // Only allocation can throw in a draw (a Zipf sampler's table).
     // Escaping here, it ends the program, as it would through the sweep
     // from the inline loop.
-    const auto stopped = [&a] {
-        return a.stop.load(std::memory_order_relaxed);
+    using Clock = std::chrono::steady_clock;
+    std::chrono::microseconds spin = kHelperWait;
+    const auto await_control = [&](auto &&done) {
+        const Clock::time_point start = Clock::now();
+        awaitCounter(s.control, done, spin, &s.asleep);
+        spin = Clock::now() - start <= kHelperWait
+                   ? kHelperWait
+                   : std::chrono::microseconds{0};
     };
-    std::uint32_t batch = 0;
-    std::uint32_t drawn = 0;
+    std::uint32_t last = 0;
     for (;;) {
-        batch = awaitCounter(
-            a.posted, [batch](std::uint32_t v) { return v != batch; },
-            kWaitBetweenBatches, &a.asleep);
-        if (stopped())
+        std::uint32_t id = 0;
+        await_control([&](std::uint32_t) {
+            id = s.session.load(std::memory_order_acquire);
+            return id != last && id % 2 == 1;
+        });
+        if (id == Stream::kShutdown)
             return;
-        for (std::uint64_t left = a.accesses; left != 0;) {
+        last = id;
+        Rng rng = rng_;
+        std::uint32_t drawn = s.drawn.load(std::memory_order_relaxed);
+        for (;;) {
             // A slot is free once the caller has issued the chunk drawn
             // into it one ring earlier.
-            awaitCounter(a.consumed, [&](std::uint32_t consumed) {
-                return drawn - consumed < Ahead::kRingChunks || stopped();
+            bool parked = false;
+            await_control([&](std::uint32_t) {
+                parked = s.session.load(std::memory_order_relaxed) != id;
+                return parked ||
+                       drawn - s.consumed.load(std::memory_order_acquire) <
+                           Stream::kRingChunks;
             });
-            if (stopped())
-                return;
-            const std::size_t n =
-                static_cast<std::size_t>(std::min(left, a.chunk));
-            drawChunk(a.ring[drawn % Ahead::kRingChunks].data(), n);
-            a.drawn.store(++drawn, std::memory_order_release);
-            a.drawn.notify_one();
-            left -= n;
+            if (parked)
+                break;
+            Stream::Chunk &chunk = s.ring[drawn % Stream::kRingChunks];
+            chunk.start = rng;
+            chunk.check = kNoCheck;
+            chunk.count = static_cast<std::uint32_t>(drawAccesses<true>(
+                chunk.accesses.data(), kChunkAccesses, rng, chunk.check));
+            s.drawn.store(++drawn, std::memory_order_release);
+            s.drawn.notify_one();
+            if (chunk.check != kNoCheck)
+                break;
         }
+        rng_ = rng;
+        s.ended.store(id, std::memory_order_release);
+        s.ended.notify_one();
     }
 }
 
@@ -476,7 +660,7 @@ SyntheticWorkload::runWarmupChunk(Kernel &kernel, BatchResult &result)
     std::uint64_t touched = 0;
     while (touched < profile_.warmupChunkPages &&
            warmupCursorRegion_ < regions_.size()) {
-        RegionState &region = regions_[warmupCursorRegion_];
+        const RegionState &region = regions_[warmupCursorRegion_];
         if (warmupCursorPage_ >= warm_limit(region.spec)) {
             warmupCursorPage_ = 0;
             do {
@@ -485,7 +669,7 @@ SyntheticWorkload::runWarmupChunk(Kernel &kernel, BatchResult &result)
                      !regions_[warmupCursorRegion_].spec.sequentialWarmup);
             continue;
         }
-        const Vpn vpn = region.base + warmupCursorPage_;
+        const Vpn vpn = draws_[warmupCursorRegion_].base + warmupCursorPage_;
         // Preloading reads the file in and writes nothing.
         duration += issueAccess(kernel, vpn, AccessKind::Load, result);
         warmupCursorPage_++;
@@ -528,6 +712,9 @@ SyntheticWorkload::maintainTransients(Kernel &kernel, Tick now,
         static_cast<double>(kSecond);
     lastTransientTick_ = now;
     transientCredit_ += elapsed_sec * spec.regionsPerSecond;
+    // The allocations' touches draw from rng_.
+    if (transientCredit_ >= 1.0)
+        parkStream();
     while (transientCredit_ >= 1.0) {
         transientCredit_ -= 1.0;
         const Vpn base =
@@ -549,7 +736,8 @@ SyntheticWorkload::maintainChurn(Kernel &kernel, Tick now)
 {
     double duration = 0.0;
     BatchResult churn_result;
-    for (RegionState &region : regions_) {
+    for (std::size_t r = 0; r < regions_.size(); ++r) {
+        RegionState &region = regions_[r];
         const RegionSpec &spec = region.spec;
         if (spec.churnPeriod == 0)
             continue;
@@ -561,16 +749,19 @@ SyntheticWorkload::maintainChurn(Kernel &kernel, Tick now)
         if (since < due)
             continue;
         // A new batch stage: drop the old data set, allocate a fresh one.
-        kernel.munmap(asid_, region.base, spec.pages);
-        region.base = kernel.mmap(asid_, spec.pages, spec.type, spec.label,
-                                  spec.diskBacked);
+        parkStream();
+        RegionDraw &draw = draws_[r];
+        kernel.munmap(asid_, draw.base, spec.pages);
+        draw.base = kernel.mmap(asid_, spec.pages, spec.type, spec.label,
+                                spec.diskBacked);
         region.lastChurn = now;
-        region.zipf.reset();
-        region.cachedHotPages = 0;
+        draw.zipf.reset();
+        draw.cachedHotPages = 0;
+        draw.zipfChecked = false;
         geometryValidUntil_ = 0;
         if (spec.populateOnChurn) {
             for (std::uint64_t i = 0; i < spec.pages; ++i) {
-                duration += issueAccess(kernel, region.base + i,
+                duration += issueAccess(kernel, draw.base + i,
                                         AccessKind::Store, churn_result);
             }
         }
@@ -598,14 +789,16 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
         return result;
     }
 
+    // The preamble. Each step that writes the draw state parks the
+    // stream first, and the first draw after it starts the stream again.
     double duration = 0.0;
     duration += maintainChurn(kernel, now);
     duration += maintainTransients(kernel, now, result);
     if (anyPhased_)
         refreshPhaseWeights(now);
-    // A batch runs at one simulated tick: nothing it calls advances the
-    // event queue, so each region's geometry holds for the whole batch
-    // (and, until refreshGeometry() says otherwise, for later batches).
+    // A call runs at one simulated tick: nothing it calls advances the
+    // event queue, so each region's geometry holds for the whole call
+    // (and, until refreshGeometry() says otherwise, for later calls).
     // The check below keeps that true.
     refreshGeometry(now);
 
@@ -615,19 +808,15 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
         for (std::uint64_t op = 0; op < ops; ++op)
             duration += think;
     }
-    // The batch's accesses run in chunks of whole ops, unless one op
-    // alone is longer than a chunk. Pass 1 draws a chunk, pass 2 issues
-    // it: the draws, the kernel accesses and the sum (think time, then
-    // each access's latency, op by op) keep the order of one loop that
-    // draws and issues each access in turn. A large batch hands pass 1
-    // to the draw-ahead helper, which draws the next chunks while this
-    // thread issues the last.
-    const std::uint64_t chunk =
-        per_op == 0 || per_op > kChunkAccesses
-            ? kChunkAccesses
-            : kChunkAccesses - kChunkAccesses % per_op;
+    // The accesses run in chunks: take a chunk of drawn accesses, then
+    // issue it. The draws, the kernel accesses and the sum (think time,
+    // then each access's latency, op by op) keep the order of one loop
+    // that draws and issues each access in turn, wherever a draw ran.
     std::uint64_t in_op = 0;
-    const auto issue = [&](const DrawnAccess *drawn, std::size_t n) {
+    for (std::uint64_t left = ops * per_op; left != 0;) {
+        std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, kChunkAccesses));
+        const DrawnAccess *drawn = nextAccesses(n);
         for (std::size_t i = 0; i < n; ++i) {
             if (in_op == 0)
                 duration += think;
@@ -636,38 +825,7 @@ SyntheticWorkload::runOps(Kernel &kernel, std::uint64_t ops)
             if (++in_op == per_op)
                 in_op = 0;
         }
-    };
-    const std::uint64_t accesses = ops * per_op;
-    bool counted = false;
-    if (goAhead(accesses, counted)) {
-        Ahead &a = *ahead_;
-        a.accesses = accesses;
-        a.chunk = chunk;
-        const std::uint32_t first = a.consumed.load(std::memory_order_relaxed);
-        a.posted.fetch_add(1, std::memory_order_release);
-        a.posted.notify_one();
-        std::uint32_t issued = 0;
-        for (std::uint64_t left = accesses; left != 0;) {
-            const std::size_t n =
-                static_cast<std::size_t>(std::min(left, chunk));
-            awaitCounter(a.drawn, [first, issued](std::uint32_t drawn) {
-                return drawn - first > issued;
-            });
-            issue(a.ring[(first + issued) % Ahead::kRingChunks].data(), n);
-            a.consumed.store(first + ++issued, std::memory_order_release);
-            a.consumed.notify_one();
-            left -= n;
-        }
-        if (counted)
-            releaseSpareCpu();
-    } else {
-        for (std::uint64_t left = accesses; left != 0;) {
-            const std::size_t n =
-                static_cast<std::size_t>(std::min(left, chunk));
-            drawChunk(chunk_.data(), n);
-            issue(chunk_.data(), n);
-            left -= n;
-        }
+        left -= n;
     }
     if (kernel.eventQueue().now() != now)
         tpp_panic("simulated time moved inside a %s batch",

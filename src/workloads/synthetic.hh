@@ -164,10 +164,10 @@ class SyntheticWorkload : public Workload
 {
   public:
     explicit SyntheticWorkload(WorkloadProfile profile);
-    /** Stops the draw-ahead helper, if one started. */
+    /** Stops the draw stream's helper, if one started. */
     ~SyntheticWorkload() override;
 
-    // The draw-ahead helper holds `this`.
+    // The draw stream's helper holds `this`.
     SyntheticWorkload(const SyntheticWorkload &) = delete;
     SyntheticWorkload &operator=(const SyntheticWorkload &) = delete;
 
@@ -190,38 +190,50 @@ class SyntheticWorkload : public Workload
     /** Sum of full reservations over all permanent regions. */
     std::uint64_t totalReservedPages() const;
 
-    /** Which loop runOps() gives a batch of kAheadMinAccesses or more. */
+    /** Which loop draws a workload's accesses. */
     enum class DrawAhead {
-        Auto,   //!< the draw-ahead helper while a CPU is spare
+        Auto,   //!< the draw stream while a CPU is spare
         Never,  //!< the inline loop
-        Always, //!< the helper, spare CPU or not
+        Always, //!< the draw stream, spare CPU or not
     };
     /** Test seam: set the choice for every synthetic workload (Auto). */
     static void setDrawAheadForTest(DrawAhead mode);
-    /** @return true once a batch went to the draw-ahead helper. */
-    bool helperStarted() const { return ahead_ != nullptr; }
+    /** @return true once the draw stream's helper thread exists. */
+    bool helperStarted() const { return stream_ != nullptr; }
 
   private:
+    /** A region's bookkeeping, which only the calling thread touches. */
     struct RegionState {
         RegionSpec spec;
-        Vpn base = 0;
         Tick createdAt = 0;
         Tick lastChurn = 0;
-        std::uint64_t cachedHotPages = 0;
-        std::optional<ZipfDistribution> zipf;
+    };
 
-        // Sampling geometry at the current batch's tick, set by
-        // refreshGeometry() whenever it can have changed.
-        std::uint64_t active = 1;   //!< pages in use
+    /**
+     * What a draw reads and writes of one region: its base, sampling
+     * geometry and Zipf state, plus the shares it draws with. While the
+     * draw stream runs, its helper thread owns this (see Stream).
+     */
+    struct RegionDraw {
+        Vpn base = 0;
+        // Sampling geometry at the current call's tick, set by
+        // refreshGeometry() whenever it moves; active 0 until then.
+        std::uint64_t active = 0;   //!< pages in use
         std::uint64_t hotPages = 1; //!< hot-window size
         std::uint64_t hotStart = 0; //!< hot-window start, < active
         /** Rng::nextBounded's rejection threshold for `active`. */
         std::uint64_t uniformThreshold = 0;
-        /** The lazy Zipf rebuild check has run since the geometry was
-         *  last computed. */
+        double hotShare = 0.0;       //!< spec.hotAccessShare
+        double hotOrEchoShare = 0.0; //!< plus spec.echoShare
+        double storeShare = 0.0;
+        double zipfTheta = 0.0;
+        /** The lazy Zipf rebuild check has run since the geometry last
+         *  moved. */
         bool zipfChecked = false;
         /** Hot and echo offsets stay below 2 * active (set by the check). */
         bool wrapOnce = false;
+        std::uint64_t cachedHotPages = 0;
+        std::optional<ZipfDistribution> zipf;
     };
 
     struct TransientRegion {
@@ -230,12 +242,12 @@ class SyntheticWorkload : public Workload
         Tick diesAt;
     };
 
-    /** Most accesses a batch draws before it issues them. */
+    /** Most accesses drawn in one go, and the size of a ring chunk. */
     static constexpr std::size_t kChunkAccesses = 256;
-    /** Fewest accesses of a batch the draw-ahead helper draws. */
-    static constexpr std::uint64_t kAheadMinAccesses = 4 * kChunkAccesses;
+    /** No region: the draws went on to the end of the chunk. */
+    static constexpr std::uint32_t kNoCheck = ~std::uint32_t{0};
 
-    /** One access drawn by drawChunk(), waiting to be issued. */
+    /** One access drawn ahead of its issue. */
     struct DrawnAccess {
         Vpn vpn;
         AccessKind kind;
@@ -252,24 +264,44 @@ class SyntheticWorkload : public Workload
     Tick nextPhaseEdge(const RegionSpec &spec, Tick now) const;
     /** Rebuild weightPrefix_ when any region's phase state flipped. */
     void refreshPhaseWeights(Tick now);
-    /** Compute every region's sampling geometry for a batch at `now`,
+    /** Set every region's sampling geometry for a call at `now`,
      *  unless nothing it depends on can have moved since the last. */
     void refreshGeometry(Tick now);
     /** The lazy Zipf rebuild check of a region's first hot draw since
-     *  its geometry was computed. */
-    void checkZipf(RegionState &region);
-    Vpn sampleRegionVpn(RegionState &region, Rng &rng);
-    /** Draw the next `n` <= kChunkAccesses accesses into `out`. */
-    void drawChunk(DrawnAccess *out, std::size_t n);
-
-    struct Ahead;
+     *  its geometry moved. */
+    void checkZipf(RegionDraw &region);
+    Vpn sampleRegionVpn(RegionDraw &region, double roll, Rng &rng);
     /**
-     * Whether the helper draws a batch of `accesses`, started on first
-     * use; `counted` is set when it holds a CPU from claimSpareCpu().
+     * Draw up to `n` <= kChunkAccesses accesses into `out`, advancing
+     * `rng`. The inline loop (kStopAtCheck false) runs the lazy Zipf
+     * check where a draw needs it. The helper may not, so it stops
+     * before such a draw instead, with `rng` at the draw's start and
+     * the region's index in `check`.
+     * @return the accesses drawn.
      */
-    bool goAhead(std::uint64_t accesses, bool &counted);
-    /** The helper thread's loop: draw each posted batch into the ring. */
-    void drawAheadLoop(Ahead &ahead);
+    template <bool kStopAtCheck>
+    std::size_t drawAccesses(DrawnAccess *out, std::size_t n, Rng &rng,
+                             std::uint32_t &check);
+
+    struct Stream;
+    /**
+     * The next `n` <= kChunkAccesses accesses, taken from the stream's
+     * ring or drawn inline; `n` may come back smaller.
+     */
+    const DrawnAccess *nextAccesses(std::size_t &n);
+    /** Start the stream if a CPU is spare (or the test seam says so),
+     *  making its helper on first use. */
+    bool startStream();
+    /** Let the helper draw from the current draw state. */
+    void startSession();
+    /**
+     * Stop the helper drawing and rewind rng_ to the first access not
+     * yet issued; every preamble step that writes the draw state calls
+     * this first. A later draw may start the stream again.
+     */
+    void parkStream();
+    /** The helper thread's loop: run each session of the stream. */
+    void drawAheadLoop(Stream &stream);
     std::uint64_t activePages(const RegionState &region, Tick now) const;
     double runWarmupChunk(Kernel &kernel, BatchResult &result);
     double maintainTransients(Kernel &kernel, Tick now,
@@ -283,10 +315,16 @@ class SyntheticWorkload : public Workload
     bool inited_ = false;
 
     std::vector<RegionState> regions_;
+    /** Each region's draw state, in regions_'s order. */
+    std::vector<RegionDraw> draws_;
     std::vector<double> weightPrefix_;
+    /** Accesses drawn inline. */
     std::array<DrawnAccess, kChunkAccesses> chunk_;
-    /** The draw-ahead helper, made by the first batch it draws. */
-    std::unique_ptr<Ahead> ahead_;
+    /** The draw stream, made when it first starts. */
+    std::unique_ptr<Stream> stream_;
+    /** The next draw may start the stream: set at init and at every
+     *  park point, so a refused stream retries there. */
+    bool mayStart_ = true;
     /** Any region phase-gated? False keeps the legacy static table. */
     bool anyPhased_ = false;
     /** Bitmask of per-region on/off states the table was built for. */
@@ -295,7 +333,7 @@ class SyntheticWorkload : public Workload
     Tick phaseValidUntil_ = 0;
     /**
      * Every region's geometry holds for every tick before this one: the
-     * next rotation step, the next batch while a region grows, or 0
+     * next rotation step, the next call while a region grows, or 0
      * after a churn.
      */
     Tick geometryValidUntil_ = 0;

@@ -89,8 +89,8 @@ class ScopedTap : public KernelAccessTap
 };
 
 /**
- * Sets which loop every synthetic workload's large batches take while
- * it lives, then hands the choice back to the spare-CPU rule.
+ * Sets which loop draws every synthetic workload's accesses while it
+ * lives, then hands the choice back to the spare-CPU rule.
  */
 class ScopedDrawAhead
 {
@@ -109,7 +109,7 @@ class ScopedDrawAhead
     ScopedDrawAhead &operator=(const ScopedDrawAhead &) = delete;
 };
 
-/** The loops a batch can take, forced: inline, then drawn ahead. */
+/** The loops that can draw accesses, forced: inline, then drawn ahead. */
 inline constexpr SyntheticWorkload::DrawAhead kBothLoops[] = {
     SyntheticWorkload::DrawAhead::Never,
     SyntheticWorkload::DrawAhead::Always,

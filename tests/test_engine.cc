@@ -13,7 +13,7 @@
  * order, fold arithmetic and harvest must all reproduce them exactly.
  * They also pin the move of every access consumer onto the kernel's
  * one access-event pipe (mm/access_tap.hh), and each config runs twice:
- * with every large workload batch drawn inline and drawn ahead.
+ * with every workload's accesses drawn inline and drawn ahead.
  */
 
 #include <cstdio>
@@ -191,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(Engine, EngineGolden, ::testing::ValuesIn(kCases),
                              return std::string(info.param.tag);
                          });
 
-/** Expect one resultFingerprint of `cfg` whichever loop large batches take. */
+/** Expect one resultFingerprint of `cfg` whichever loop draws accesses. */
 void
 expectSameBothWays(const ExperimentConfig &cfg)
 {
@@ -218,8 +218,9 @@ TEST(EngineDrawAhead, Fig16Cache1TppMatchesInline)
 
 TEST(EngineDrawAhead, DwhBesideChurnTenantsMatchInline)
 {
-    // An open-loop victim whose service calls stay inline beside a
-    // closed-loop antagonist whose batches go ahead, on one kernel.
+    // An open-loop victim's service calls and a closed-loop
+    // antagonist's batches, each workload with its own draw stream, on
+    // one kernel.
     setLogVerbose(false);
     ExperimentConfig cfg;
     cfg.policy = "tpp";

@@ -174,7 +174,7 @@ TEST(SyntheticWorkload, ObserverSeesEveryAccess)
 // machine with the clock stepped between them, so growth, rotation,
 // churn, phase flips and transients all fall inside the pinned span,
 // and the latency totals pin the kernel's access path too. Each golden
-// is checked with large batches drawn inline and drawn ahead.
+// is checked with the accesses drawn inline and drawn ahead.
 // ---------------------------------------------------------------------
 
 struct StreamGolden {
@@ -189,21 +189,21 @@ struct StreamGolden {
 /** What runStream() saw. */
 struct StreamRun {
     StreamGolden totals{};
-    /** Some batch went to the draw-ahead helper. */
+    /** The workload's draw stream started. */
     bool helperStarted = false;
 };
 
 /**
  * Run `profile` on a TPP machine with `wss_pages` / 4 local and
  * `wss_pages` CXL pages: at each tick of `ticks` (increasing), run the
- * event queue up to that tick, then one batch of `ops` operations, with
- * the batch loop forced to `loop`. Return the hash of the stream and
- * the summed batch results.
+ * event queue up to that tick, then one call of `ops[i]` operations,
+ * with the draw loop forced to `loop`. Return the hash of the stream
+ * and the summed call results.
  */
 StreamRun
 runStream(const WorkloadProfile &profile, std::uint64_t wss_pages,
-          const std::vector<Tick> &ticks, std::uint64_t ops,
-          DrawAhead loop)
+          const std::vector<Tick> &ticks,
+          const std::vector<std::uint64_t> &ops, DrawAhead loop)
 {
     const test::ScopedDrawAhead seam(loop);
     TestMachine m(wss_pages / 4, wss_pages, std::make_unique<TppPolicy>());
@@ -216,10 +216,10 @@ runStream(const WorkloadProfile &profile, std::uint64_t wss_pages,
         totals.hash = fnv1a(totals.hash, static_cast<std::uint64_t>(e.kind));
     });
     wl.init(m.kernel);
-    for (const Tick tick : ticks) {
-        if (tick > m.eq.now())
-            m.eq.run(tick);
-        const BatchResult r = wl.runOps(m.kernel, ops);
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+        if (ticks[i] > m.eq.now())
+            m.eq.run(ticks[i]);
+        const BatchResult r = wl.runOps(m.kernel, ops[i]);
         totals.ops += r.ops;
         totals.accesses += r.accesses;
         totals.durationNs += r.durationNs;
@@ -227,6 +227,26 @@ runStream(const WorkloadProfile &profile, std::uint64_t wss_pages,
     }
     run.helperStarted = wl.helperStarted();
     return run;
+}
+
+/** runStream() with `ops` operations in every call. */
+StreamRun
+runStream(const WorkloadProfile &profile, std::uint64_t wss_pages,
+          const std::vector<Tick> &ticks, std::uint64_t ops, DrawAhead loop)
+{
+    return runStream(profile, wss_pages, ticks,
+                     std::vector<std::uint64_t>(ticks.size(), ops), loop);
+}
+
+/** Expect `stream` to have seen what `inline_run` saw. */
+void
+expectSameStream(const StreamRun &stream, const StreamRun &inline_run)
+{
+    EXPECT_EQ(stream.totals.hash, inline_run.totals.hash);
+    EXPECT_EQ(stream.totals.ops, inline_run.totals.ops);
+    EXPECT_EQ(stream.totals.accesses, inline_run.totals.accesses);
+    EXPECT_EQ(stream.totals.durationNs, inline_run.totals.durationNs);
+    EXPECT_EQ(stream.totals.memLatencyNs, inline_run.totals.memLatencyNs);
 }
 
 /** Check runStream()'s results both ways against `golden`. */
@@ -482,16 +502,18 @@ TEST(AccessStreamGolden, EveryBranchProfileOpSizes)
 
 TEST(AccessStreamGolden, DrawnAheadMatchesInlineAroundTheThreshold)
 {
-    // Batches one access short of the draw-ahead threshold, on it and
-    // one past it; no access per op; and ops longer than a chunk.
+    // Calls of one access up to past four chunks: one short of a chunk,
+    // on it and one past it, and the same around four chunks, where
+    // closed-loop batches once began to be drawn ahead. Then no access
+    // per op, which never starts the stream, and ops longer than a
+    // chunk.
     struct Case {
         std::uint32_t perOp;
         std::uint64_t ops;
-        bool ahead; //!< the batch reaches the threshold
     };
     const Case cases[] = {
-        {1, 1023, false}, {1, 1024, true}, {1, 1025, true},
-        {0, 2000, false}, {300, 3, false}, {300, 4, true},
+        {1, 1},    {1, 5},    {1, 255},  {1, 256}, {1, 257},
+        {1, 1023}, {1, 1024}, {1, 1025}, {0, 2000}, {300, 3},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(testing::Message() << c.perOp << " per op x " << c.ops);
@@ -502,51 +524,113 @@ TEST(AccessStreamGolden, DrawnAheadMatchesInlineAroundTheThreshold)
         const StreamRun ahead_run =
             runStream(p, 3072, everyHundredMs(30), c.ops, DrawAhead::Always);
         EXPECT_FALSE(inline_run.helperStarted);
-        EXPECT_EQ(ahead_run.helperStarted, c.ahead);
-        EXPECT_EQ(ahead_run.totals.hash, inline_run.totals.hash);
-        EXPECT_EQ(ahead_run.totals.ops, inline_run.totals.ops);
-        EXPECT_EQ(ahead_run.totals.accesses, inline_run.totals.accesses);
-        EXPECT_EQ(ahead_run.totals.durationNs, inline_run.totals.durationNs);
-        EXPECT_EQ(ahead_run.totals.memLatencyNs,
-                  inline_run.totals.memLatencyNs);
+        EXPECT_EQ(ahead_run.helperStarted, c.perOp != 0);
+        expectSameStream(ahead_run, inline_run);
     }
+}
+
+TEST(AccessStreamGolden, StreamRewindsAtEveryParkPoint)
+{
+    // Service-sized calls of 1 to 64 ops, 0.2 to 3 ms apart, for 4.2
+    // simulated seconds: the stream parks and rewinds before each churn
+    // (1 s, 2.5 s, 4 s), transient allocation (50 a second), rotation
+    // step, phase edge and growth step. The grow region takes one draw
+    // in 700 or so and moves every 7 ms, so many of its epochs end
+    // before its first hot draw is issued, while the helper has drawn
+    // past it. Its hot window of 300 pages and more grows a page every
+    // 22 ms, and its Zipf is rebuilt once the window has moved by a
+    // 64th: a check run for a draw that is then thrown away would move
+    // those rebuilds.
+    WorkloadProfile p = everyBranchProfile();
+    p.regions[0].accessWeight = 0.0015;
+    p.regions[0].initialActiveFraction = 0.5;
+    Rng rng(23);
+    std::vector<Tick> ticks;
+    std::vector<std::uint64_t> ops;
+    for (Tick t = 0; t < 4200 * kMillisecond;
+         t += 200 * kMicrosecond + rng.nextBounded(2800 * kMicrosecond)) {
+        ticks.push_back(t);
+        ops.push_back(1 + rng.nextBounded(64));
+    }
+    const StreamRun inline_run =
+        runStream(p, 3072, ticks, ops, DrawAhead::Never);
+    const StreamRun stream_run =
+        runStream(p, 3072, ticks, ops, DrawAhead::Always);
+    EXPECT_FALSE(inline_run.helperStarted);
+    EXPECT_TRUE(stream_run.helperStarted);
+    EXPECT_GT(inline_run.totals.accesses, 200000u);
+    expectSameStream(stream_run, inline_run);
+}
+
+/**
+ * tinyProfile() with a hot window that rotates every 10 ms, beside a
+ * region that takes one draw in 500.
+ */
+WorkloadProfile
+rareRegionProfile()
+{
+    WorkloadProfile p = tinyProfile();
+    p.regions[0].rotationPeriod = 10 * kMillisecond;
+    RegionSpec rare = p.regions[0];
+    rare.label = "rare";
+    rare.accessWeight = 0.002;
+    p.regions.push_back(rare);
+    return p;
 }
 
 TEST(SyntheticWorkload, HelperStopsInEveryState)
 {
-    // Workloads are destroyed with a helper that never started, that
-    // has just drawn its last chunk, that spins between batches, and
-    // that sleeps on the posted counter: that one wakes only when the
-    // counter changes. Each owns 25 batches, big and small in turn.
+    // Workloads are destroyed with a helper that has just drawn for a
+    // call, that sleeps on a full ring, that is parked at a rewind (a
+    // call of no ops whose preamble moved the hot window), and that
+    // stopped at the rare region's first hot draw, whose Zipf check
+    // waits for the caller. Each first runs 25 calls of 1 to 512 ops,
+    // 1 ms apart, so the rotation parks the stream between calls.
     using namespace std::chrono_literals;
     const test::ScopedDrawAhead seam(DrawAhead::Always);
-    const std::chrono::microseconds pauses[] = {0us, 50us, 5ms};
     struct Run {
         TestMachine m{2048, 2048};
-        SyntheticWorkload wl{tinyProfile()};
+        SyntheticWorkload wl{rareRegionProfile()};
     };
-    std::unique_ptr<Run> run;
     int started = 0;
-    for (int batch = 0; batch < 1000; ++batch) {
-        if (batch % 25 == 0) {
-            if (run) {
-                started += run->wl.helperStarted();
-                std::this_thread::sleep_for(pauses[batch / 25 % 3]);
-            }
-            run = std::make_unique<Run>();
-            run->wl.init(run->m.kernel);
+    for (int round = 0; round < 40; ++round) {
+        Run run;
+        run.wl.init(run.m.kernel);
+        for (int call = 0; call < 25; ++call) {
+            run.m.eq.run(run.m.eq.now() + kMillisecond);
+            const std::uint64_t ops = call % 2 == 0 ? 512 : 1 + call;
+            EXPECT_EQ(run.wl.runOps(run.m.kernel, ops).accesses, 2 * ops);
         }
-        // Two accesses per op: 512 ops reach the threshold, 8 do not.
-        const std::uint64_t ops = batch % 2 == 0 ? 512 : 8;
-        EXPECT_EQ(run->wl.runOps(run->m.kernel, ops).accesses, 2 * ops);
+        switch (round % 4) {
+          case 0:
+            break;
+          case 1:
+            std::this_thread::sleep_for(5ms);
+            break;
+          case 2:
+            run.m.eq.run(run.m.eq.now() + 20 * kMillisecond);
+            EXPECT_EQ(run.wl.runOps(run.m.kernel, 0).accesses, 0u);
+            std::this_thread::sleep_for(1ms);
+            break;
+          case 3:
+            // A new epoch, and one op: the helper runs on to the rare
+            // region's first hot draw, some hundreds of draws on.
+            run.m.eq.run(run.m.eq.now() + 20 * kMillisecond);
+            EXPECT_EQ(run.wl.runOps(run.m.kernel, 1).accesses, 2u);
+            std::this_thread::sleep_for(1ms);
+            break;
+        }
+        started += run.wl.helperStarted();
     }
-    run.reset();
-    EXPECT_EQ(started, 39);
+    EXPECT_EQ(started, 40);
+    // Never started: no access per op, and never inited.
     TestMachine m(2048, 2048);
-    SyntheticWorkload small(tinyProfile());
-    small.init(m.kernel);
-    small.runOps(m.kernel, 8);
-    EXPECT_FALSE(small.helperStarted());
+    WorkloadProfile none = tinyProfile();
+    none.accessesPerOp = 0;
+    SyntheticWorkload idle(none);
+    idle.init(m.kernel);
+    idle.runOps(m.kernel, 8);
+    EXPECT_FALSE(idle.helperStarted());
     SyntheticWorkload unused(tinyProfile());
 }
 

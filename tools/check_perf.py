@@ -30,6 +30,11 @@ so run the benchmarks with --benchmark_repetitions=N: each counter is
 judged by its median over the N iteration rows that share a benchmark
 name (in the results, the --against parent run and --update alike).
 
+A benchmark that cannot run on the host (BM_SyntheticBatchAhead and
+BM_SyntheticServiceCalls on one CPU) reports error_occurred with an
+error_message starting "skipped:". The gate prints a ::notice:: for it,
+lists it as skipped and keeps its pin; any other error fails the gate.
+
 Pins taken on another machine class say little about this one. To judge
 a change on one host, run micro_mm_ops from the parent tree and from
 the change on that host, then compare the two result files with
@@ -51,13 +56,29 @@ import statistics
 import sys
 
 
+SKIP_PREFIX = "skipped:"
+
+
+def load_errors(results):
+    """Map benchmark name -> the error_message of its first row that
+    reports error_occurred (a skip starts with SKIP_PREFIX)."""
+    errors = {}
+    for bench in results.get("benchmarks", []):
+        name = bench.get("name")
+        if name is not None and bench.get("error_occurred"):
+            errors.setdefault(name, str(bench.get("error_message", "")))
+    return errors
+
+
 def load_counters(results):
     """Map benchmark name -> counters dict, each counter the median over
     the iteration rows of that name (one per repetition). Aggregate rows
-    (google-benchmark's own _mean/_median/...) are skipped."""
+    (google-benchmark's own _mean/_median/...) and error rows are
+    skipped."""
     samples = {}
     for bench in results.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
+        if bench.get("run_type") == "aggregate" or \
+                bench.get("error_occurred"):
             continue
         name = bench.get("name")
         if name is None:
@@ -95,17 +116,33 @@ def main():
     with open(args.baseline) as handle:
         baseline = json.load(handle)
     parent = None
+    parent_errors = {}
     if args.against:
         with open(args.against) as handle:
-            parent = load_counters(json.load(handle))
+            parent_results = json.load(handle)
+        parent = load_counters(parent_results)
+        parent_errors = load_errors(parent_results)
 
     measured = load_counters(results)
+    errors = load_errors(results)
     failures = 0
     warnings = 0
     rows = []
 
     for name, spec in sorted(baseline.get("counters", {}).items()):
         counter = spec["counter"]
+        error = errors.get(name, parent_errors.get(name))
+        if error is not None:
+            if error.startswith(SKIP_PREFIX):
+                print(f"::notice::perf gate: benchmark '{name}' "
+                      f"{error}")
+                rows.append((name, counter, spec["value"], None,
+                             "skipped"))
+            else:
+                print(f"::error::perf gate: benchmark '{name}' failed: "
+                      f"{error}")
+                failures += 1
+            continue
         if parent is None:
             pinned = float(spec["value"])
         elif parent.get(name, {}).get(counter) is None:
@@ -136,7 +173,7 @@ def main():
         current = float(current)
         if args.update:
             spec["value"] = current
-            rows.append((name, counter, pinned, current, None))
+            rows.append((name, counter, pinned, current, "updated"))
             continue
         if pinned <= 0:
             print(f"::error::perf gate: baseline for '{name}' is "
@@ -147,7 +184,8 @@ def main():
             regression = (current - pinned) / pinned * 100.0
         else:
             regression = (pinned - current) / pinned * 100.0
-        rows.append((name, counter, pinned, current, regression))
+        rows.append((name, counter, pinned, current,
+                     f"{-regression:+.1f}%"))
         if regression > args.fail_pct:
             print(f"::error::perf gate: {name} {counter} regressed "
                   f"{regression:.1f}% ({pinned:.3g} -> {current:.3g}, "
@@ -167,11 +205,10 @@ def main():
              f"{'current':>12} {'delta':>8}"
     print(header)
     print("-" * len(header))
-    for name, counter, pinned, current, regression in rows:
-        delta = "updated" if regression is None \
-            else f"{-regression:+.1f}%"
-        print(f"{name:32} {counter:16} {pinned:12.4g} "
-              f"{current:12.4g} {delta:>8}")
+    for name, counter, pinned, current, delta in rows:
+        shown = "-" if current is None else f"{current:12.4g}"
+        print(f"{name:32} {counter:16} {float(pinned):12.4g} "
+              f"{shown:>12} {delta:>8}")
 
     if args.update:
         with open(args.baseline, "w") as handle:

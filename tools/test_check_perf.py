@@ -5,8 +5,9 @@ Covers the counter-direction handling — a rate counter (pages/sec,
 higher is better) must fail the gate when it drops and pass when it
 rises, a cost counter (direction "lower", e.g. ns/window) the other
 way around — plus --update re-baselining, --against, the
-comparison with a parent run from the same host, and the median over
-repeated runs of one benchmark.
+comparison with a parent run from the same host, the median over
+repeated runs of one benchmark, and a benchmark that skipped itself
+against one that failed.
 """
 
 import json
@@ -233,6 +234,41 @@ class CheckPerfTest(unittest.TestCase):
             baseline, "--against", parent_path)
         self.assertEqual(proc.returncode, 0, proc.stdout)
         self.assertNotIn("::warning::", proc.stdout)
+
+    def test_skipped_benchmark_is_reported_not_failed(self):
+        # google-benchmark's row for a SkipWithError("skipped: ...")
+        # carries no counter; the gate notes it and keeps its pin.
+        baseline = baseline_json(
+            {"BM_Rate": {"counter": "counter", "value": 1000.0},
+             "BM_Ahead": {"counter": "counter", "value": 2000.0}})
+        results = results_json({"BM_Rate": 1000.0})
+        results["benchmarks"].append(
+            {"name": "BM_Ahead", "run_type": "iteration",
+             "error_occurred": True,
+             "error_message": "skipped: needs a second CPU"})
+        proc, _ = self.run_gate(results, baseline)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("::notice::perf gate: benchmark 'BM_Ahead' skipped:",
+                      proc.stdout)
+        self.assertRegex(proc.stdout, r"BM_Ahead .* skipped")
+        self.assertNotIn("::error::", proc.stdout)
+        proc, baseline_path = self.run_gate(results, baseline, "--update")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        with open(baseline_path) as handle:
+            updated = json.load(handle)
+        self.assertEqual(updated["counters"]["BM_Ahead"]["value"], 2000.0)
+
+    def test_other_benchmark_error_fails(self):
+        baseline = baseline_json(
+            {"BM_Broken": {"counter": "counter", "value": 1000.0}})
+        results = {"benchmarks": [
+            {"name": "BM_Broken", "run_type": "iteration",
+             "error_occurred": True, "error_message": "setup failed"}]}
+        proc, _ = self.run_gate(results, baseline)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("::error::perf gate: benchmark 'BM_Broken' failed: "
+                      "setup failed", proc.stdout)
+        self.assertNotIn("::notice::", proc.stdout)
 
     def test_missing_benchmark_fails(self):
         baseline = baseline_json(
